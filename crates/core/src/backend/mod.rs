@@ -257,8 +257,10 @@ pub trait SqlBackend: Send + Sync {
     /// (see [`crate::serve`]): `(found, score)` per key, scores starting
     /// from the model's initial score. The default loads the spec's
     /// tables through [`SqlBackend::snapshot`] into a
-    /// [`crate::serve::MessageIndex`]; partitioned backends override it
-    /// to evaluate shard partials where the fact partitions live and
+    /// [`crate::serve::MessageIndex`] on every call; engine-backed
+    /// backends override it to score through the engine's memo
+    /// ([`crate::serve::engine_predict`]), and partitioned backends to
+    /// evaluate shard partials where the fact partitions live and
     /// `⊕`-merge, which the dyadic leaf grid keeps bit-identical.
     fn predict_batch(
         &self,
@@ -266,7 +268,7 @@ pub trait SqlBackend: Send + Sync {
         keys: &[i64],
     ) -> BackendResult<Vec<(bool, f64)>> {
         let idx = crate::serve::MessageIndex::load(spec, &mut |n| self.snapshot(n))?;
-        idx.eval_batch(keys, spec.init_score)
+        idx.eval_batch(spec, keys, spec.init_score)
     }
 
     /// Gather the rows at the given positions of the table's
@@ -384,6 +386,14 @@ impl SqlBackend for Database {
         Database::row_count(self, name)
     }
 
+    fn predict_batch(
+        &self,
+        spec: &crate::serve::ScorerSpec,
+        keys: &[i64],
+    ) -> BackendResult<Vec<(bool, f64)>> {
+        crate::serve::engine_predict(self, spec, keys, spec.init_score)
+    }
+
     fn stats(&self) -> BackendStats {
         engine_stats(self)
     }
@@ -480,6 +490,14 @@ impl SqlBackend for EngineBackend {
 
     fn row_count(&self, name: &str) -> BackendResult<usize> {
         self.db.row_count(name)
+    }
+
+    fn predict_batch(
+        &self,
+        spec: &crate::serve::ScorerSpec,
+        keys: &[i64],
+    ) -> BackendResult<Vec<(bool, f64)>> {
+        self.db.predict_batch(spec, keys)
     }
 
     fn stats(&self) -> BackendStats {
@@ -598,6 +616,14 @@ impl SqlBackend for SqlTextBackend {
 
     fn row_count(&self, name: &str) -> BackendResult<usize> {
         self.db.row_count(name)
+    }
+
+    fn predict_batch(
+        &self,
+        spec: &crate::serve::ScorerSpec,
+        keys: &[i64],
+    ) -> BackendResult<Vec<(bool, f64)>> {
+        self.db.predict_batch(spec, keys)
     }
 
     fn stats(&self) -> BackendStats {

@@ -66,7 +66,7 @@ use super::{BackendCapabilities, BackendResult, BackendStats, ShardTransport, Sq
 use crate::boosting::train_gbm_resume;
 use crate::dataset::Dataset;
 use crate::params::TrainParams;
-use crate::serve::{compile_messages, MessageIndex, ScorerSpec};
+use crate::serve::{compile_messages, engine_predict, ScorerSpec};
 use crate::tree::Tree;
 use joinboost_engine::{Column, Datum};
 
@@ -217,12 +217,6 @@ struct ServeState {
     sessions: Mutex<HashMap<u64, Arc<SessionState>>>,
     /// One-shot latch for [`ServeOptions::flaky_after`].
     flaky_fired: AtomicBool,
-    /// Loaded message-table dictionaries, keyed by fact table name.
-    /// A write invalidates only the entries whose relations it touches.
-    scorer_cache: Mutex<HashMap<String, CachedScorer>>,
-    /// Cache-miss loads performed (tests assert on invalidation
-    /// granularity through this).
-    scorer_loads: AtomicU64,
     /// Does the hosted engine persist tables across restarts? When true,
     /// the job registry is mirrored into the WAL-logged `jb_sys_jobs`
     /// table on every transition and training checkpoint.
@@ -239,13 +233,6 @@ struct ServeState {
     /// Replay-cache entries evicted under the budget (tests assert the
     /// bound bites through this).
     replay_evictions: AtomicU64,
-}
-
-/// A cached scorer dictionary plus the relations it was built from (the
-/// invalidation footprint).
-struct CachedScorer {
-    index: Arc<MessageIndex>,
-    tables: Vec<String>,
 }
 
 impl ServeState {
@@ -273,8 +260,6 @@ impl ServeState {
             grace,
             sessions: Mutex::new(HashMap::new()),
             flaky_fired: AtomicBool::new(false),
-            scorer_cache: Mutex::new(HashMap::new()),
-            scorer_loads: AtomicU64::new(0),
             durable,
             job_checkpoint_iters: job_checkpoint_iters.max(1),
             train_iters: AtomicU64::new(0),
@@ -291,43 +276,6 @@ impl ServeState {
                 .opts
                 .fail_after
                 .is_some_and(|n| self.requests.load(Ordering::Relaxed) >= n)
-    }
-
-    /// The message-table dictionary for `spec`, loaded once and cached.
-    fn scorer_index(&self, spec: &ScorerSpec) -> BackendResult<Arc<MessageIndex>> {
-        if let Some(c) = self.scorer_cache.lock().get(&spec.fact_table) {
-            return Ok(Arc::clone(&c.index));
-        }
-        let idx = Arc::new(MessageIndex::load(spec, &mut |n| self.db.snapshot(n))?);
-        self.scorer_loads.fetch_add(1, Ordering::Relaxed);
-        let mut cache = self.scorer_cache.lock();
-        if cache.len() >= 8 {
-            cache.clear();
-        }
-        cache.insert(
-            spec.fact_table.clone(),
-            CachedScorer {
-                index: Arc::clone(&idx),
-                tables: spec.tables().iter().map(|s| s.to_string()).collect(),
-            },
-        );
-        Ok(idx)
-    }
-
-    /// Evict cached scorer dictionaries whose relations `write` touched —
-    /// or everything, when the statement could not be classified.
-    fn invalidate_scorers(&self, write: &SqlWrite) {
-        let mut cache = self.scorer_cache.lock();
-        match write {
-            SqlWrite::ReadOnly => {}
-            SqlWrite::Unknown => cache.clear(),
-            SqlWrite::Create(t) | SqlWrite::Update(t) | SqlWrite::Drop(t) => {
-                cache.retain(|_, c| !c.tables.iter().any(|x| x == t));
-            }
-            SqlWrite::Swap(a, b) => {
-                cache.retain(|_, c| !c.tables.iter().any(|x| x == a || x == b));
-            }
-        }
     }
 
     /// Look up (or create) the session for `token` and bind it to the
@@ -414,17 +362,13 @@ impl SessionState {
     }
 }
 
-/// What a SQL statement writes, extracted from its head tokens. The
-/// emitter's canonical prints (and reasonable hand-written SQL) all
-/// classify; anything else is `Unknown` and treated as touching
-/// everything.
+/// The table a SQL statement creates or drops, read from its head tokens
+/// — enough to track the session's temp tables. The emitter's canonical
+/// prints (and reasonable hand-written SQL) all classify.
 enum SqlWrite {
-    ReadOnly,
     Create(String),
-    Update(String),
     Drop(String),
-    Swap(String, String),
-    Unknown,
+    Other,
 }
 
 /// Lower-cased identifier at the head of `tok` (trailing punctuation such
@@ -438,16 +382,8 @@ fn classify_write(sql: &str) -> SqlWrite {
     let mut toks = sql.split_whitespace();
     let eq = |a: &str, b: &str| a.eq_ignore_ascii_case(b);
     let Some(head) = toks.next() else {
-        return SqlWrite::Unknown;
+        return SqlWrite::Other;
     };
-    if eq(head, "SELECT") {
-        return SqlWrite::ReadOnly;
-    }
-    if eq(head, "UPDATE") {
-        return toks
-            .next()
-            .map_or(SqlWrite::Unknown, |t| SqlWrite::Update(ident_of(t)));
-    }
     if eq(head, "CREATE") {
         // CREATE [OR REPLACE] TABLE <name> AS …
         let mut next = toks.next();
@@ -456,38 +392,22 @@ fn classify_write(sql: &str) -> SqlWrite {
             next = toks.next();
         }
         if next.is_some_and(|t| eq(t, "TABLE")) {
-            return toks
-                .next()
-                .map_or(SqlWrite::Unknown, |t| SqlWrite::Create(ident_of(t)));
+            if let Some(t) = toks.next() {
+                return SqlWrite::Create(ident_of(t));
+            }
         }
-        return SqlWrite::Unknown;
-    }
-    if eq(head, "DROP") {
+    } else if eq(head, "DROP") && toks.next().is_some_and(|t| eq(t, "TABLE")) {
         // DROP TABLE [IF EXISTS] <name>
-        if toks.next().is_some_and(|t| eq(t, "TABLE")) {
-            let mut next = toks.next();
-            if next.is_some_and(|t| eq(t, "IF")) {
-                toks.next(); // EXISTS
-                next = toks.next();
-            }
-            return next.map_or(SqlWrite::Unknown, |t| SqlWrite::Drop(ident_of(t)));
+        let mut next = toks.next();
+        if next.is_some_and(|t| eq(t, "IF")) {
+            toks.next(); // EXISTS
+            next = toks.next();
         }
-        return SqlWrite::Unknown;
-    }
-    if eq(head, "SWAP") {
-        // SWAP COLUMN a.x WITH b.y
-        if toks.next().is_some_and(|t| eq(t, "COLUMN")) {
-            let table_of = |t: Option<&str>| t.and_then(|t| t.split('.').next()).map(ident_of);
-            let a = table_of(toks.next());
-            toks.next(); // WITH
-            let b = table_of(toks.next());
-            if let (Some(a), Some(b)) = (a, b) {
-                return SqlWrite::Swap(a, b);
-            }
+        if let Some(t) = next {
+            return SqlWrite::Drop(ident_of(t));
         }
-        return SqlWrite::Unknown;
     }
-    SqlWrite::Unknown
+    SqlWrite::Other
 }
 
 /// Session temp tables the expiry sweeper may reclaim: the `jb_` working
@@ -1003,8 +923,8 @@ fn train_job(
 }
 
 /// Serve one `PredictBatch` request: resolve the scorer spec (from a
-/// finished job or inline), evaluate against the cached message-table
-/// dictionary.
+/// finished job or inline) and score it through the engine's memoized
+/// message-table index.
 fn predict_batch_response(
     state: &ServeState,
     job: Option<u64>,
@@ -1036,14 +956,10 @@ fn predict_batch_response(
         (None, Some(s)) => *s,
         _ => return fail("PredictBatch requires exactly one of job id or scorer spec".into()),
     };
-    let idx = match state.scorer_index(&spec) {
-        Ok(i) => i,
-        Err(e) => return Response::Err(e),
-    };
     // Partial mode: shard-resident scoring starts from 0 so the
     // coordinator adds `init_score` exactly once per key.
     let start = if partial { 0.0 } else { spec.init_score };
-    match idx.eval_batch(keys, start) {
+    match engine_predict(&state.db, &spec, keys, start) {
         Ok(rs) => Response::Scores {
             found: rs.iter().map(|r| r.0).collect(),
             scores: rs.iter().map(|r| r.1).collect(),
@@ -1072,22 +988,15 @@ fn handle_request(
             Response::Err(EngineError::Other("Hello after handshake".into()))
         }
         Request::Execute { sql } => {
-            // A mutating statement may rewrite a message table: evict the
-            // cached dictionaries whose relations it touches (everything,
-            // when the statement defies classification).
-            let write = classify_write(&sql);
             let r = db.execute(&sql);
             if r.is_ok() {
-                state.invalidate_scorers(&write);
-                session.note_write(&write);
+                session.note_write(&classify_write(&sql));
             }
             table(r)
         }
         Request::CreateTable { name, table: t } => match db.create_table(&name, t) {
             Ok(()) => {
-                let write = SqlWrite::Create(name.to_ascii_lowercase());
-                state.invalidate_scorers(&write);
-                session.note_write(&write);
+                session.note_write(&SqlWrite::Create(name.to_ascii_lowercase()));
                 Response::Unit
             }
             Err(e) => Response::Err(e),
@@ -1111,9 +1020,7 @@ fn handle_request(
         // local and remote shards.
         Request::DropTableIfExists { name } => match ShardTransport::drop_table(db, &name) {
             Ok(()) => {
-                let write = SqlWrite::Drop(name.to_ascii_lowercase());
-                state.invalidate_scorers(&write);
-                session.note_write(&write);
+                session.note_write(&SqlWrite::Drop(name.to_ascii_lowercase()));
                 Response::Unit
             }
             Err(e) => Response::Err(e),
@@ -1515,7 +1422,8 @@ fn serve_requests(
 
 /// Background reclaimer: a session detached for longer than the grace
 /// period is removed — its active jobs are cancelled, its split handles
-/// freed, and the `jb_` temp tables it created over the wire dropped.
+/// freed, and the `jb_` temp tables it created over the wire dropped,
+/// except those a scorer index is being served from.
 fn sweep_sessions(state: &Arc<ServeState>) {
     let now = Instant::now();
     let expired: Vec<Arc<SessionState>> = {
@@ -1549,7 +1457,13 @@ fn sweep_sessions(state: &Arc<ServeState>) {
             std::mem::take(&mut inner.temp_tables)
         };
         for name in temps {
-            let _ = ShardTransport::drop_table(&state.db, &name);
+            // A table a live scorer index was built from is being served
+            // (a client deployed message tables, then scored them over
+            // another session): it is serving state now, not this
+            // session's scratch, and outlives the session.
+            if !state.db.memo_uses(&name) {
+                let _ = ShardTransport::drop_table(&state.db, &name);
+            }
         }
         let owned: Vec<Arc<JobHandle>> = state
             .jobs
@@ -1847,10 +1761,11 @@ impl WireServer {
         self.state.requests.load(Ordering::Relaxed)
     }
 
-    /// Scorer-dictionary cache misses so far — the invalidation tests
-    /// assert that unrelated writes do not force reloads.
+    /// Scorer-index loads so far: the hosted engine's memo builds (see
+    /// [`Database::memo`]). The invalidation tests assert that unrelated
+    /// writes do not force reloads.
     pub fn scorer_cache_loads(&self) -> u64 {
-        self.state.scorer_loads.load(Ordering::Relaxed)
+        self.state.db.stats().memo_builds
     }
 
     /// Replay-cache entries evicted under the replay byte budget so far

@@ -145,17 +145,14 @@ pub trait ShardTransport: Send + Sync {
     /// partial)` per key, partials accumulated from `0.0` — the
     /// coordinator adds the model's initial score once per found key,
     /// which the dyadic leaf grid keeps bit-identical to single-node
-    /// evaluation. The default loads the spec's tables through
-    /// [`ShardTransport::snapshot`]; remote transports override it so the
-    /// shard evaluates server-side and ships only scores, never tables.
+    /// evaluation. An in-process engine scores through its memoized index
+    /// ([`crate::serve::engine_predict`]); a remote transport has the
+    /// shard evaluate server-side and ships only scores, never tables.
     fn predict_partials(
         &self,
         spec: &crate::serve::ScorerSpec,
         keys: &[i64],
-    ) -> BackendResult<Vec<(bool, f64)>> {
-        let idx = crate::serve::MessageIndex::load(spec, &mut |n| self.snapshot(n))?;
-        idx.eval_batch(keys, 0.0)
-    }
+    ) -> BackendResult<Vec<(bool, f64)>>;
 
     /// `(bytes_sent, bytes_received)` on this transport's socket; zero
     /// for in-process transports.
@@ -247,6 +244,14 @@ impl ShardTransport for Database {
             Err(EngineError::UnknownTable(_)) => Ok(()),
             r => r,
         }
+    }
+
+    fn predict_partials(
+        &self,
+        spec: &crate::serve::ScorerSpec,
+        keys: &[i64],
+    ) -> BackendResult<Vec<(bool, f64)>> {
+        crate::serve::engine_predict(self, spec, keys, 0.0)
     }
 }
 

@@ -28,8 +28,9 @@
 
 use std::collections::HashMap;
 
+use joinboost_engine::column::ColumnData;
 use joinboost_engine::table::ColumnMeta;
-use joinboost_engine::{Column, Datum, EngineError, Table};
+use joinboost_engine::{Column, Database, Datum, EngineError, Table};
 use joinboost_graph::{JoinGraph, RelId};
 
 use crate::backend::{BackendResult, SqlBackend};
@@ -391,141 +392,187 @@ pub fn compile_messages(
 // Evaluation
 // ---------------------------------------------------------------------------
 
-/// One fact key's entry in a loaded [`MessageIndex`].
-struct FactEntry {
-    /// Per-tree local masks of the fact row.
-    masks: Vec<u64>,
-    /// Foreign keys into each dimension (`None` = NULL, never joins).
-    fks: Vec<Option<i64>>,
-}
+/// Dimension row id of a fact row whose foreign key is NULL or dangles:
+/// the row never joins.
+const NO_ROW: u32 = u32::MAX;
 
 /// An in-memory dictionary view of deployed message tables: the structure
 /// every scoring path (local, per-shard partial, wire server) evaluates
 /// against.
+///
+/// It holds only what the tables say, so one index serves every spec over
+/// the same tables; leaf values, learning rate and start score come from
+/// the spec at [`MessageIndex::eval`]. Masks are stored row-major in flat
+/// arrays (`num_trees` words per row), and foreign keys are resolved to
+/// dimension row ids at load time.
 pub struct MessageIndex {
-    learning_rate: f64,
-    leaf_values: Vec<Vec<f64>>,
-    fact: HashMap<i64, FactEntry>,
-    dims: Vec<DimMap>,
+    num_trees: usize,
+    /// Predict key → fact row.
+    rows: HashMap<i64, u32>,
+    /// `fact_masks[row * num_trees + t]`: the fact row's mask for tree `t`.
+    fact_masks: Vec<u64>,
+    /// `fact_dims[row * dims + d]`: the row of dimension `d` the fact row
+    /// joins, or [`NO_ROW`].
+    fact_dims: Vec<u32>,
+    /// Per dimension, `masks[row * num_trees + t]`.
+    dim_masks: Vec<Vec<u64>>,
+}
+
+/// The non-NULL `Int` values of column `name`, or a typed error naming
+/// `what` (a key or a mask column of a message table).
+fn int_column<'t>(t: &'t Table, name: &str, what: &str) -> BackendResult<&'t [i64]> {
+    let c = &t.columns[t.resolve(None, name)?];
+    match &c.data {
+        ColumnData::Int(v) if c.null_count() == 0 => Ok(v),
+        _ => Err(other(format!(
+            "{what} column {name} must be a non-NULL Int"
+        ))),
+    }
+}
+
+/// The `jb_m*` mask columns of `t`, interleaved row-major.
+fn row_major_masks(t: &Table, num_trees: usize, what: &str) -> BackendResult<Vec<u64>> {
+    let cols: Vec<&[i64]> = (0..num_trees)
+        .map(|ti| int_column(t, &mask_column(ti), what))
+        .collect::<BackendResult<_>>()?;
+    let mut out = Vec::with_capacity(t.num_rows() * num_trees);
+    for i in 0..t.num_rows() {
+        out.extend(cols.iter().map(|c| c[i] as u64));
+    }
+    Ok(out)
 }
 
 impl MessageIndex {
+    /// The key the engine memo caches an index under: the tables it is
+    /// read from and the fact table's key column.
+    fn memo_key(spec: &ScorerSpec) -> String {
+        format!("serve:{}:{}", spec.key_column, spec.tables().join(","))
+    }
+
     /// Load the spec's tables through `snapshot` (a backend, a shard
     /// transport, or a server-local engine — whoever holds the tables).
+    /// Every `jb_m*` column present is loaded, so the index does not
+    /// depend on the spec's tree count.
     pub fn load(
         spec: &ScorerSpec,
         snapshot: &mut dyn FnMut(&str) -> BackendResult<Table>,
     ) -> BackendResult<MessageIndex> {
-        let nt = spec.leaf_values.len();
         let t = snapshot(&spec.fact_table)?;
-        let kidx = t.resolve(None, &spec.key_column)?;
-        let fk_idx: Vec<usize> = (0..spec.dim_tables.len())
-            .map(|d| t.resolve(None, &fk_column(d)))
-            .collect::<std::result::Result<_, _>>()?;
-        let m_idx: Vec<usize> = (0..nt)
-            .map(|ti| t.resolve(None, &mask_column(ti)))
-            .collect::<std::result::Result<_, _>>()?;
-        let mut fact = HashMap::with_capacity(t.num_rows());
-        for i in 0..t.num_rows() {
-            let key = t.columns[kidx]
-                .get(i)
-                .as_i64()
-                .ok_or_else(|| other("fact message table key must be Int"))?;
-            let masks: Vec<u64> = m_idx
+        let num_trees = (0..)
+            .take_while(|&ti| t.resolve(None, &mask_column(ti)).is_ok())
+            .count();
+        let nd = spec.dim_tables.len();
+        let mut dim_masks = Vec::with_capacity(nd);
+        let mut fact_dims = vec![NO_ROW; t.num_rows() * nd];
+        for (d, name) in spec.dim_tables.iter().enumerate() {
+            let dt = snapshot(name)?;
+            let what = "dimension message table";
+            let keys = int_column(&dt, DIM_KEY, what)?;
+            let row_of: HashMap<i64, u32> = keys
                 .iter()
-                .map(|&c| {
-                    t.columns[c]
-                        .get(i)
-                        .as_i64()
-                        .map(|v| v as u64)
-                        .ok_or_else(|| other("fact message table mask must be Int"))
-                })
-                .collect::<std::result::Result<_, _>>()?;
-            let fks: Vec<Option<i64>> = fk_idx
-                .iter()
-                .map(|&c| t.columns[c].get(i).as_i64())
+                .enumerate()
+                .map(|(i, &k)| (k, i as u32))
                 .collect();
-            fact.insert(key, FactEntry { masks, fks });
-        }
-        let mut dims = Vec::with_capacity(spec.dim_tables.len());
-        for name in &spec.dim_tables {
-            let t = snapshot(name)?;
-            let kidx = t.resolve(None, DIM_KEY)?;
-            let m_idx: Vec<usize> = (0..nt)
-                .map(|ti| t.resolve(None, &mask_column(ti)))
-                .collect::<std::result::Result<_, _>>()?;
-            let mut map: DimMap = HashMap::with_capacity(t.num_rows());
+            let fks = &t.columns[t.resolve(None, &fk_column(d))?];
             for i in 0..t.num_rows() {
-                let key = t.columns[kidx]
-                    .get(i)
-                    .as_i64()
-                    .ok_or_else(|| other("dimension message table key must be Int"))?;
-                let masks: Vec<u64> = m_idx
-                    .iter()
-                    .map(|&c| {
-                        t.columns[c]
-                            .get(i)
-                            .as_i64()
-                            .map(|v| v as u64)
-                            .ok_or_else(|| other("dimension message table mask must be Int"))
-                    })
-                    .collect::<std::result::Result<_, _>>()?;
-                map.insert(key, masks);
+                if let Some(&r) = fks.get(i).as_i64().and_then(|k| row_of.get(&k)) {
+                    fact_dims[i * nd + d] = r;
+                }
             }
-            dims.push(map);
+            dim_masks.push(row_major_masks(&dt, num_trees, what)?);
         }
+        let what = "fact message table";
+        let keys = int_column(&t, &spec.key_column, what)?;
+        let rows = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| (k, i as u32))
+            .collect();
         Ok(MessageIndex {
-            learning_rate: spec.learning_rate,
-            leaf_values: spec.leaf_values.clone(),
-            fact,
-            dims,
+            num_trees,
+            rows,
+            fact_masks: row_major_masks(&t, num_trees, what)?,
+            fact_dims,
+            dim_masks,
         })
     }
 
     /// Number of fact keys this index can score.
     pub fn num_keys(&self) -> usize {
-        self.fact.len()
+        self.rows.len()
     }
 
-    /// Score one key. `(false, 0.0)` means the key is absent from the
-    /// fact table or its joined tuple is absent from `R⋈` (dangling or
-    /// NULL foreign key). `start` is the running total to add leaf values
-    /// onto — the model's `init_score` locally, `0.0` for a shard
-    /// partial.
-    pub fn eval(&self, key: i64, start: f64) -> BackendResult<(bool, f64)> {
-        let Some(entry) = self.fact.get(&key) else {
+    /// Score one key under `spec`'s leaf values. `(false, 0.0)` means the
+    /// key is absent from the fact table or its joined tuple is absent
+    /// from `R⋈` (dangling or NULL foreign key). `start` is the running
+    /// total to add leaf values onto — the model's `init_score` locally,
+    /// `0.0` for a shard partial.
+    pub fn eval(&self, spec: &ScorerSpec, key: i64, start: f64) -> BackendResult<(bool, f64)> {
+        let Some(&row) = self.rows.get(&key) else {
             return Ok((false, 0.0));
         };
-        let mut dim_masks: Vec<&Vec<u64>> = Vec::with_capacity(self.dims.len());
-        for (d, dim) in self.dims.iter().enumerate() {
-            match entry.fks[d].and_then(|k| dim.get(&k)) {
-                Some(m) => dim_masks.push(m),
-                None => return Ok((false, 0.0)),
-            }
+        let (row, nt, nd) = (row as usize, self.num_trees, self.dim_masks.len());
+        let dim_rows = &self.fact_dims[row * nd..(row + 1) * nd];
+        if dim_rows.contains(&NO_ROW) {
+            return Ok((false, 0.0));
+        }
+        if spec.leaf_values.len() > nt {
+            return Err(other(format!(
+                "scorer spec has {} trees but its message tables hold {nt}",
+                spec.leaf_values.len()
+            )));
         }
         // Exact op order of `predict_boosted`: one `+= lr·leaf` per tree.
         let mut score = start;
-        for (t, leaves) in self.leaf_values.iter().enumerate() {
-            let mut mask = entry.masks[t];
-            for dm in &dim_masks {
-                mask &= dm[t];
+        for (t, leaves) in spec.leaf_values.iter().enumerate() {
+            let mut mask = self.fact_masks[row * nt + t];
+            for (dm, &r) in self.dim_masks.iter().zip(dim_rows) {
+                mask &= dm[r as usize * nt + t];
             }
-            if mask.count_ones() != 1 {
+            let leaf = if mask.count_ones() == 1 {
+                leaves.get(mask.trailing_zeros() as usize)
+            } else {
+                None
+            };
+            let Some(leaf) = leaf else {
                 return Err(other(format!(
                     "message tables inconsistent for key {key}: tree {t} mask \
-                     {mask:#x} selects {} leaves",
-                    mask.count_ones()
+                     {mask:#x} selects {} of its {} leaves",
+                    mask.count_ones(),
+                    leaves.len()
                 )));
-            }
-            score += self.learning_rate * leaves[mask.trailing_zeros() as usize];
+            };
+            score += spec.learning_rate * leaf;
         }
         Ok((true, score))
     }
 
     /// [`MessageIndex::eval`] over a batch of keys.
-    pub fn eval_batch(&self, keys: &[i64], start: f64) -> BackendResult<Vec<(bool, f64)>> {
-        keys.iter().map(|&k| self.eval(k, start)).collect()
+    pub fn eval_batch(
+        &self,
+        spec: &ScorerSpec,
+        keys: &[i64],
+        start: f64,
+    ) -> BackendResult<Vec<(bool, f64)>> {
+        keys.iter().map(|&k| self.eval(spec, k, start)).collect()
     }
+}
+
+/// Score `keys` against `spec`'s message tables on one engine — the one
+/// path behind every engine-backed scorer (the engine as a backend or a
+/// shard, the engine backends, the wire server). The index comes from the
+/// engine's memo: loaded once per deployment and reloaded after any write
+/// to one of its tables.
+pub fn engine_predict(
+    db: &Database,
+    spec: &ScorerSpec,
+    keys: &[i64],
+    start: f64,
+) -> BackendResult<Vec<(bool, f64)>> {
+    let idx = db.memo(&MessageIndex::memo_key(spec), &spec.tables(), || {
+        MessageIndex::load(spec, &mut |n| db.snapshot(n))
+    })?;
+    idx.eval_batch(spec, keys, start)
 }
 
 // ---------------------------------------------------------------------------
@@ -658,6 +705,11 @@ mod tests {
 
     fn star_db() -> (Database, JoinGraph) {
         let db = Database::in_memory();
+        let g = load_star(&db);
+        (db, g)
+    }
+
+    fn load_star(db: &dyn SqlBackend) -> JoinGraph {
         db.create_table(
             "fact",
             Table::from_columns(vec![
@@ -683,7 +735,7 @@ mod tests {
         g.add_relation("fact", &[]).unwrap();
         g.add_relation("dim", &["g"]).unwrap();
         g.add_edge("fact", "dim", &["d_id"]).unwrap();
-        (db, g)
+        g
     }
 
     #[test]
@@ -714,6 +766,98 @@ mod tests {
         }
         // Keys ≥ 64 and the d_id=6 rows are absent from the join.
         assert!(dropped > 6, "expected dangling keys, got {dropped}");
+    }
+
+    fn small_model(set: &Dataset) -> GbmModel {
+        let params = TrainParams {
+            num_iterations: 3,
+            learning_rate: 0.5,
+            leaf_quantization: (2.0f64).powi(-10),
+            ..Default::default()
+        };
+        train_gbm(set, &params).unwrap()
+    }
+
+    fn bits(scores: &[Option<f64>]) -> Vec<Option<u64>> {
+        scores.iter().map(|s| s.map(f64::to_bits)).collect()
+    }
+
+    #[test]
+    fn index_loads_once_per_deployment() {
+        let (db, g) = star_db();
+        let set = Dataset::new(&db, g, "fact", "y").unwrap();
+        let model = small_model(&set);
+        let fac = FactorizedScorer::compile(&set, &model, "k").unwrap();
+        let keys: Vec<i64> = (0..70).collect();
+        let first = fac.score_batch(&keys).unwrap();
+        for k in &keys {
+            assert_eq!(
+                bits(&fac.score_batch(&[*k]).unwrap()),
+                bits(&first[*k as usize..][..1])
+            );
+        }
+        let s = db.stats();
+        assert_eq!((s.memo_builds, s.memo_hits), (1, 70));
+        // A second deployment is a second index; dropping the dataset's
+        // tables evicts both.
+        let other = FactorizedScorer::compile(&set, &model, "k").unwrap();
+        assert_eq!(bits(&other.score_batch(&keys).unwrap()), bits(&first));
+        assert_eq!(db.stats().memo_entries, 2);
+        drop((fac, other, set));
+        assert_eq!(db.stats().memo_entries, 0);
+    }
+
+    #[test]
+    fn engine_backends_score_through_the_memo() {
+        use crate::backend::{EngineBackend, SqlTextBackend};
+        let engine = EngineBackend::in_memory();
+        let text = SqlTextBackend::in_memory();
+        let mut scores = Vec::new();
+        for (backend, db) in [
+            (&engine as &dyn SqlBackend, engine.database()),
+            (&text as &dyn SqlBackend, text.database()),
+        ] {
+            let g = load_star(backend);
+            let set = Dataset::new(backend, g, "fact", "y").unwrap();
+            let fac = FactorizedScorer::compile(&set, &small_model(&set), "k").unwrap();
+            for _ in 0..3 {
+                scores.push(bits(&fac.score_batch(&[0, 5, 63]).unwrap()));
+            }
+            let s = db.stats();
+            assert_eq!((s.memo_builds, s.memo_hits), (1, 2), "{}", backend.name());
+        }
+        assert!(scores.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    #[test]
+    fn update_to_a_message_table_reloads_the_index() {
+        let (db, g) = star_db();
+        let set = Dataset::new(&db, g, "fact", "y").unwrap();
+        let model = small_model(&set);
+        let fac = FactorizedScorer::compile(&set, &model, "k").unwrap();
+        let keys: Vec<i64> = (0..64).collect();
+        let before = fac.score_batch(&keys).unwrap();
+        let fact_table = fac.spec().fact_table.clone();
+        db.execute(&format!("UPDATE {fact_table} SET k = k + 1000"))
+            .unwrap();
+        let moved: Vec<i64> = keys.iter().map(|k| k + 1000).collect();
+        assert_eq!(bits(&fac.score_batch(&moved).unwrap()), bits(&before));
+        assert!(fac.score_batch(&keys).unwrap().iter().all(Option::is_none));
+        assert_eq!(db.stats().memo_builds, 2, "the write forces one reload");
+    }
+
+    #[test]
+    fn dropped_message_table_is_a_typed_error() {
+        let (db, g) = star_db();
+        let set = Dataset::new(&db, g, "fact", "y").unwrap();
+        let model = small_model(&set);
+        let fac = FactorizedScorer::compile(&set, &model, "k").unwrap();
+        fac.score_batch(&[0, 1]).unwrap();
+        db.drop_table(&fac.spec().dim_tables[0]).unwrap();
+        assert!(matches!(
+            SqlBackend::predict_batch(&db, fac.spec(), &[0, 1]),
+            Err(EngineError::UnknownTable(_))
+        ));
     }
 
     #[test]

@@ -11,7 +11,11 @@ use joinboost::backend::{
     JobSpec, JobStatus, RemoteBackend, RemoteConnection, RetryPolicy, ServeClient, ServeError,
     SqlBackend, WireServer,
 };
+use joinboost::{
+    train_gbm, Dataset, FactorizedScorer, JoinScorer, Scorer, ScorerSpec, TrainParams,
+};
 use joinboost_engine::{Column, Database, Datum, Table};
+use joinboost_graph::JoinGraph;
 
 /// A star-schema database whose target is on the dyadic 1/8 grid, so
 /// the exactness recipe (lr 0.5, leaf quantization 2⁻¹⁰) holds.
@@ -56,6 +60,25 @@ fn star_job() -> JobSpec {
         target_column: "y".into(),
         key_column: Some("k".into()),
         ..JobSpec::default()
+    }
+}
+
+/// The graph `star_job` describes, for training in-process.
+fn star_graph() -> JoinGraph {
+    let mut graph = JoinGraph::new();
+    graph.add_relation("fact", &["x"]).unwrap();
+    graph.add_relation("dim", &["g"]).unwrap();
+    graph.add_edge("fact", "dim", &["d_id"]).unwrap();
+    graph
+}
+
+/// The exactness recipe: lr 0.5, leaf quantization 2⁻¹⁰.
+fn exact_params() -> TrainParams {
+    TrainParams {
+        num_iterations: 3,
+        learning_rate: 0.5,
+        leaf_quantization: (2.0f64).powi(-10),
+        ..Default::default()
     }
 }
 
@@ -384,6 +407,105 @@ fn scorer_cache_invalidation_is_per_relation() {
         client.predict(id, &[0]).is_err(),
         "predict after dropping {victim} must fail, not serve a stale cached scorer"
     );
+}
+
+/// Two inline specs over the *same* message tables with different leaf
+/// values are two scorers. The server's index is keyed by the tables and
+/// holds no leaf values, so it is loaded once and shared, and each spec
+/// scores with its own leaves — bit for bit its own join oracle.
+#[test]
+fn inline_specs_over_shared_tables_score_with_their_own_leaf_values() {
+    let server = WireServer::builder(star_db(64)).spawn().unwrap();
+    let client = ServeClient::connect(server.addr()).unwrap();
+    let set = Dataset::new(server.database(), star_graph(), "fact", "y").unwrap();
+    let model_a = train_gbm(&set, &exact_params()).unwrap();
+    // Same trees, other leaves: the compiled masks (the tables) match.
+    let mut model_b = model_a.clone();
+    for node in model_b.trees.iter_mut().flat_map(|t| t.nodes.iter_mut()) {
+        node.value = node.value * 2.0 + 0.25;
+    }
+    let spec_a = FactorizedScorer::compile(&set, &model_a, "k")
+        .unwrap()
+        .spec()
+        .clone();
+    let own_b = FactorizedScorer::compile(&set, &model_b, "k")
+        .unwrap()
+        .spec()
+        .clone();
+    let spec_b = ScorerSpec {
+        fact_table: spec_a.fact_table.clone(),
+        dim_tables: spec_a.dim_tables.clone(),
+        ..own_b
+    };
+    assert_ne!(spec_a.leaf_values, spec_b.leaf_values);
+
+    let keys: Vec<i64> = (0..64).collect();
+    let a = client.predict_spec(&spec_a, &keys).unwrap();
+    let b = client.predict_spec(&spec_b, &keys).unwrap();
+    assert_eq!(
+        server.scorer_cache_loads(),
+        1,
+        "one index serves both specs"
+    );
+    for (spec_scores, model) in [(&a, &model_a), (&b, &model_b)] {
+        let oracle = JoinScorer::compile(&set, model, "k")
+            .unwrap()
+            .score_batch(&keys)
+            .unwrap();
+        for (k, (got, want)) in spec_scores.iter().zip(&oracle).enumerate() {
+            assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "key {k}");
+        }
+    }
+    assert!(
+        a.iter().zip(&b).any(|(x, y)| x != y),
+        "different leaf values must give different scores"
+    );
+}
+
+/// A client deploys message tables over one session, keeps them, hangs
+/// up, and scores them over another. Once scored they are serving state:
+/// the expired session's sweep drops its other temp tables but leaves
+/// these, and scoring keeps answering from tables that still exist.
+#[test]
+fn served_message_tables_outlive_the_deploying_session() {
+    let grace = Duration::from_millis(100);
+    let server = WireServer::builder(star_db(64))
+        .session_grace(grace)
+        .spawn()
+        .unwrap();
+    let backend = RemoteBackend::builder(server.addr()).connect().unwrap();
+    let mut set = Dataset::new(&backend, star_graph(), "fact", "y").unwrap();
+    let model = train_gbm(&set, &exact_params()).unwrap();
+    let spec = FactorizedScorer::compile(&set, &model, "k")
+        .unwrap()
+        .spec()
+        .clone();
+    let scratch = set.fresh_table("scratch");
+    backend
+        .create_table(
+            &scratch,
+            Table::from_columns(vec![("x", Column::int(vec![1]))]),
+        )
+        .unwrap();
+    set.keep_temp_tables = true;
+    drop(set);
+    drop(backend);
+
+    let client = ServeClient::connect(server.addr()).unwrap();
+    let keys: Vec<i64> = (0..64).collect();
+    let first = client.predict_spec(&spec, &keys).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.database().has_table(&scratch) {
+        assert!(
+            Instant::now() < deadline,
+            "the expired session was never swept"
+        );
+        std::thread::sleep(grace);
+    }
+    for t in spec.tables() {
+        assert!(server.database().has_table(t), "served table {t} was swept");
+    }
+    assert_eq!(client.predict_spec(&spec, &keys).unwrap(), first);
 }
 
 /// Temp tables left behind by a previous process (crash before cleanup)

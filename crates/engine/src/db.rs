@@ -1,6 +1,8 @@
 //! The database: catalog, configuration and statement execution.
 
+use std::any::Any;
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -16,6 +18,7 @@ use crate::error::{EngineError, Result};
 use crate::exec::Executor;
 use crate::expr::{eval, eval_row, EvalContext};
 use crate::interop::ExternalTable;
+use crate::memo::Memo;
 use crate::storage::{BufferPoolStats, PagedStore, PagedTable, Replacement};
 use crate::table::{ColumnMeta, Table};
 use crate::wal::{self, Wal, WalRecord};
@@ -209,6 +212,13 @@ pub struct DbStats {
     pub checkpoints: u64,
     /// Bytes written into checkpoint snapshots.
     pub checkpoint_bytes_written: u64,
+    /// Derived artifacts built by [`Database::memo`] (cache misses, plus
+    /// every call over an unversioned dependency).
+    pub memo_builds: u64,
+    /// [`Database::memo`] calls answered from the cache.
+    pub memo_hits: u64,
+    /// Artifacts resident in the memo when the snapshot was taken.
+    pub memo_entries: u64,
 }
 
 enum Stored {
@@ -225,6 +235,70 @@ struct CompressedTable {
     columns: Vec<CompressedColumn>,
 }
 
+/// The table catalog plus what the derived-artifact memo needs from it:
+/// a version stamp per table, bumped on every install, and the memo
+/// itself. Every install goes through [`Catalog::install`],
+/// [`Catalog::remove`] or [`Catalog::touch`], so a table's version moves
+/// and the artifacts built from it are evicted under the same write lock
+/// that changes its contents. Reads go through `Deref` to the table map.
+struct Catalog {
+    tables: HashMap<String, Stored>,
+    versions: HashMap<String, u64>,
+    clock: u64,
+    memo: Memo,
+}
+
+impl Deref for Catalog {
+    type Target = HashMap<String, Stored>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.tables
+    }
+}
+
+impl Catalog {
+    fn new() -> Catalog {
+        Catalog {
+            tables: HashMap::new(),
+            versions: HashMap::new(),
+            clock: 0,
+            memo: Memo::default(),
+        }
+    }
+
+    /// Install `stored` under `key`, returning the table it replaces.
+    fn install(&mut self, key: String, stored: Stored) -> Option<Stored> {
+        self.touch(&key);
+        self.tables.insert(key, stored)
+    }
+
+    /// Remove the table under `key`, returning it.
+    fn remove(&mut self, key: &str) -> Option<Stored> {
+        self.versions.remove(key);
+        self.memo.evict(key);
+        self.tables.remove(key)
+    }
+
+    /// Record an in-place write to the table under `key`.
+    fn touch(&mut self, key: &str) {
+        self.clock += 1;
+        self.versions.insert(key.to_string(), self.clock);
+        self.memo.evict(key);
+    }
+
+    /// The current versions of `keys`, or `None` when one of them is
+    /// missing or external (its handle can replace columns behind the
+    /// catalog's back, so no version describes its contents).
+    fn stamp(&self, keys: &[String]) -> Option<Vec<u64>> {
+        keys.iter()
+            .map(|k| match self.tables.get(k)? {
+                Stored::External(_) => None,
+                _ => self.versions.get(k).copied(),
+            })
+            .collect()
+    }
+}
+
 /// Cap on retained MVCC before-images (older versions are garbage
 /// collected, as a real MVCC engine eventually does).
 const UNDO_CAP_BYTES: usize = 64 << 20;
@@ -232,7 +306,7 @@ const UNDO_CAP_BYTES: usize = 64 << 20;
 /// An embedded SQL database.
 pub struct Database {
     config: EngineConfig,
-    catalog: RwLock<HashMap<String, Stored>>,
+    catalog: RwLock<Catalog>,
     wal: Mutex<Wal>,
     undo: Mutex<UndoLog>,
     stats: Mutex<DbStats>,
@@ -280,7 +354,7 @@ impl Database {
         };
         Ok(Database {
             config,
-            catalog: RwLock::new(HashMap::new()),
+            catalog: RwLock::new(Catalog::new()),
             wal: Mutex::new(wal),
             undo: Mutex::new(UndoLog::default()),
             stats: Mutex::new(DbStats::default()),
@@ -333,9 +407,9 @@ impl Database {
                 WalRecord::Commit => {}
             }
         }
-        let mut catalog = HashMap::new();
+        let mut catalog = Catalog::new();
         for (name, t) in tables {
-            catalog.insert(name, Stored::Paged(store.store_table(&t)?));
+            catalog.install(name, Stored::Paged(store.store_table(&t)?));
         }
         let mut wal = Wal::open_append(&wal_path, committed_len, committed_records)?;
         // The latent `sync = false` default would leave commit records in
@@ -365,7 +439,9 @@ impl Database {
 
     /// Snapshot of the execution statistics.
     pub fn stats(&self) -> DbStats {
+        let memo_entries = self.catalog.read().memo.len() as u64;
         let mut s = self.stats.lock().clone();
+        s.memo_entries = memo_entries;
         let wal = self.wal.lock();
         s.wal_bytes = wal.bytes_logged;
         s.wal_records = wal.records;
@@ -503,7 +579,7 @@ impl Database {
             self.wal.lock().log_create_table(name, &table)?;
         }
         let stored = self.store(table)?;
-        cat.insert(key, stored);
+        cat.install(key, stored);
         drop(cat);
         self.wal_commit()?;
         drop(gate);
@@ -525,7 +601,7 @@ impl Database {
             self.wal.lock().log_create_table(name, &table)?;
         }
         let stored = self.store(table)?;
-        let old = self.catalog.write().insert(key, stored);
+        let old = self.catalog.write().install(key, stored);
         self.release(old);
         self.wal_commit()?;
         drop(gate);
@@ -536,7 +612,7 @@ impl Database {
     /// (the `DP` backend's fact table).
     pub fn register_external(&self, name: &str, table: &Table) {
         let key = name.to_ascii_lowercase();
-        self.catalog.write().insert(
+        self.catalog.write().install(
             key,
             Stored::External(Arc::new(ExternalTable::from_table(table))),
         );
@@ -678,6 +754,61 @@ impl Database {
         }
     }
 
+    /// The artifact `build` derives from `tables`, built once and shared
+    /// until one of those tables is written or dropped.
+    ///
+    /// Entries are keyed by `key` and stamped with the versions of
+    /// `tables` at the start of the build. Every catalog install (create,
+    /// `CREATE [OR REPLACE] TABLE … AS`, UPDATE, SWAP COLUMN, external
+    /// registration, drop) bumps the written table's version and evicts
+    /// the entries built from it, so a hit is never older than its
+    /// inputs. A build that overlaps a write to one of its tables may mix
+    /// versions: it is discarded and run again. When a table is missing
+    /// or external (no version describes it) nothing is cached and
+    /// `build` runs on every call.
+    pub fn memo<T: Any + Send + Sync>(
+        &self,
+        key: &str,
+        tables: &[&str],
+        mut build: impl FnMut() -> Result<T>,
+    ) -> Result<Arc<T>> {
+        let deps: Vec<String> = tables.iter().map(|t| t.to_ascii_lowercase()).collect();
+        loop {
+            let stamp = {
+                let cat = self.catalog.read();
+                let stamp = cat.stamp(&deps);
+                if let Some(hit) = stamp.as_ref().and_then(|s| cat.memo.get::<T>(key, s)) {
+                    self.stats.lock().memo_hits += 1;
+                    return Ok(hit);
+                }
+                stamp
+            };
+            self.stats.lock().memo_builds += 1;
+            let built = build();
+            let Some(stamp) = stamp else {
+                return built.map(Arc::new);
+            };
+            let mut cat = self.catalog.write();
+            if cat.stamp(&deps).as_ref() == Some(&stamp) {
+                let value = Arc::new(built?);
+                cat.memo.insert(
+                    key,
+                    deps,
+                    stamp,
+                    Arc::clone(&value) as Arc<dyn Any + Send + Sync>,
+                );
+                return Ok(value);
+            }
+            // A dependency was written while `build` ran, so its reads may
+            // straddle two versions: build again.
+        }
+    }
+
+    /// Is a cached [`Database::memo`] artifact built from this table?
+    pub fn memo_uses(&self, name: &str) -> bool {
+        self.catalog.read().memo.uses(&name.to_ascii_lowercase())
+    }
+
     fn store(&self, table: Table) -> Result<Stored> {
         if let Some(store) = &self.storage {
             return Ok(Stored::Paged(store.store_table(&table)?));
@@ -741,7 +872,7 @@ impl Database {
                     self.wal.lock().log_create_table(name, &result)?;
                 }
                 let stored = self.store(result)?;
-                let old = self.catalog.write().insert(key, stored);
+                let old = self.catalog.write().install(key, stored);
                 self.release(old);
                 self.wal_commit()?;
                 drop(gate);
@@ -849,13 +980,13 @@ impl Database {
         let key = table.to_ascii_lowercase();
         let was_external = matches!(self.catalog.read().get(&key), Some(Stored::External(_)));
         if was_external {
-            self.catalog.write().insert(
+            self.catalog.write().install(
                 key,
                 Stored::External(Arc::new(ExternalTable::from_table(&updated))),
             );
         } else {
             let stored = self.store(updated)?;
-            let old = self.catalog.write().insert(key, stored);
+            let old = self.catalog.write().install(key, stored);
             self.release(old);
         }
         self.wal_commit()?;
@@ -882,6 +1013,8 @@ impl Database {
             (cat.get(&ka), cat.get(&kb))
         {
             let (ea, eb) = (Arc::clone(ea), Arc::clone(eb));
+            cat.touch(&ka);
+            cat.touch(&kb);
             drop(cat);
             let a = ea.column_arc(ca)?;
             let b = eb.column_arc(cb)?;
@@ -893,17 +1026,20 @@ impl Database {
         // Same-representation in-catalog swap: pull both columns out and
         // exchange them. This is a schema-level pointer move — O(1) in the
         // number of rows (Vec moves are three words).
-        let col_a = take_column(cat.get_mut(&ka).expect("checked"), ca)?;
-        let col_b = match take_column(cat.get_mut(&kb).expect("checked"), cb) {
+        let tables = &mut cat.tables;
+        let col_a = take_column(tables.get_mut(&ka).expect("checked"), ca)?;
+        let col_b = match take_column(tables.get_mut(&kb).expect("checked"), cb) {
             Ok(c) => c,
             Err(e) => {
                 // Restore A before bailing out.
-                put_column(cat.get_mut(&ka).expect("checked"), ca, col_a)?;
+                put_column(tables.get_mut(&ka).expect("checked"), ca, col_a)?;
                 return Err(e);
             }
         };
-        put_column(cat.get_mut(&ka).expect("checked"), ca, col_b)?;
-        put_column(cat.get_mut(&kb).expect("checked"), cb, col_a)?;
+        put_column(tables.get_mut(&ka).expect("checked"), ca, col_b)?;
+        put_column(tables.get_mut(&kb).expect("checked"), cb, col_a)?;
+        cat.touch(&ka);
+        cat.touch(&kb);
         self.stats.lock().swaps += 1;
         Ok(())
     }

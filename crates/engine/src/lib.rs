@@ -64,6 +64,7 @@ pub mod exec;
 pub mod expr;
 pub mod interop;
 pub mod keys;
+mod memo;
 pub mod partition;
 pub mod storage;
 pub mod table;
