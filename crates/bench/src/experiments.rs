@@ -119,15 +119,15 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
     ),
     (
         "shards",
-        "sharded split pushdown off/on: shuffle volume + wall-clock, 1-4 fact partitions (build with --features sharded)",
+        "sharded scaling: shuffle volume + wall-clock, 1-4 fact partitions",
     ),
     (
         "remote",
-        "multi-process sharding over sockets: wire bytes + rows shipped, pushdown off/on (build with --features sharded)",
+        "multi-process sharding over sockets: wire bytes + rows shipped, 1-4 servers",
     ),
     (
         "remote-flaky",
-        "the remote sweep under fault injection: every 9th request drops its connection, the retrying clients recover, models still bit-identical (build with --features sharded)",
+        "the remote sweep under fault injection: every 9th request drops its connection, the retrying clients recover, models still bit-identical",
     ),
     (
         "serve",
@@ -1637,22 +1637,15 @@ fn backends_experiment() -> Result<(), String> {
         run(&backend, &label, &mut report)?;
     }
     report.note("every row trained the SAME model, bit for bit (dyadic recipe)");
-    report.note("shuffle volume is per-key message partials + split-query summaries");
+    report.note("shuffle volume is per-key message partials + per-value split aggregates");
     report.print();
     Ok(())
 }
 
-/// `shards`: sharded-backend scaling sweep with the shard-local split
-/// evaluation toggled off/on — the showcase is a high-cardinality
-/// fact-resident feature, where the PR 3 path shipped O(cardinality)
-/// per-value rows to the coordinator per split query. Gated behind the
-/// `sharded` cargo feature so CI can `--features`-check the fan-out path
-/// builds without paying for the sweep in default runs.
 /// The shared scaling workload of the `shards` / `remote` sweeps: a
 /// 40k-row fact with a high-cardinality (~8000 values) fact-resident
 /// feature plus one small dimension, targets on the dyadic grid so every
 /// configuration trains the same model bit for bit.
-#[cfg(feature = "sharded")]
 fn highcard_star() -> (
     joinboost_engine::Table,
     joinboost_engine::Table,
@@ -1701,36 +1694,28 @@ fn highcard_star() -> (
     (fact, dim, graph)
 }
 
-#[cfg(feature = "sharded")]
+/// `shards`: sharded-backend scaling sweep over 1, 2 and 4 in-process
+/// fact partitions — wall-clock and shuffle volume of the dense `⊕`-merge
+/// on a high-cardinality fact-resident feature, models asserted
+/// bit-identical across shard counts.
 fn shard_scale() -> Result<(), String> {
-    use joinboost::backend::PushdownConfig;
-
     let (fact, dim, graph) = highcard_star();
     let mut report = Report::new(
-        "Sharded split evaluation: 1 GBM iteration, high-cardinality feature (~8000 values)",
+        "Sharded training: 1 GBM iteration, high-cardinality feature (~8000 values)",
         &[
             "shards",
-            "pushdown",
             "train(median of 3)",
-            "pushdown_splits",
+            "fanout_selects",
             "rows_shipped",
         ],
     );
     let mut reference: Option<joinboost::GbmModel> = None;
-    let mut dense_rows: u64 = 0;
-    let mut pushed_rows: u64 = 0;
     let mut json_rows: Vec<JsonValue> = Vec::new();
-    for &(shards, pushdown) in &[(1usize, true), (2, false), (2, true), (4, false), (4, true)] {
+    for shards in [1usize, 2, 4] {
         let mut times: Vec<f64> = Vec::new();
-        let mut shipped = 0u64;
-        let mut splits = 0u64;
+        let (mut shipped, mut fanouts) = (0u64, 0u64);
         for _ in 0..3 {
             let backend = ShardedBackend::new(shards, EngineConfig::duckdb_mem(), "fact", "k");
-            if !pushdown {
-                backend.set_pushdown(false);
-            } else {
-                backend.set_pushdown_config(PushdownConfig::default());
-            }
             backend
                 .create_table("fact", fact.clone())
                 .map_err(|e| e.to_string())?;
@@ -1747,55 +1732,35 @@ fn shard_scale() -> Result<(), String> {
             times.push(t.as_secs_f64());
             let stats = backend.stats();
             shipped = stats.rows_shipped;
-            splits = stats.pushdown_splits;
+            fanouts = stats.fanout_selects;
             match &reference {
                 None => reference = Some(model),
                 Some(r) => {
                     if !bit_identical(r, &model) {
-                        return Err(format!(
-                            "sharded x{shards} pushdown={pushdown} trained a different model"
-                        ));
+                        return Err(format!("sharded x{shards} trained a different model"));
                     }
                 }
             }
         }
         times.sort_by(|a, b| a.total_cmp(b));
-        if shards == 4 {
-            if pushdown {
-                pushed_rows = shipped;
-            } else {
-                dense_rows = shipped;
-            }
-        }
         report.row(&[
             shards.to_string(),
-            if pushdown { "on" } else { "off" }.to_string(),
             format!("{:.3}", times[times.len() / 2]),
-            splits.to_string(),
+            fanouts.to_string(),
             shipped.to_string(),
         ]);
         json_rows.push(JsonValue::obj(vec![
             ("shards", JsonValue::Int(shards as i64)),
-            ("pushdown", JsonValue::Int(i64::from(pushdown))),
             ("train_median_s", JsonValue::Num(times[times.len() / 2])),
-            ("pushdown_splits", JsonValue::Int(splits as i64)),
+            ("fanout_selects", JsonValue::Int(fanouts as i64)),
             ("rows_shipped", JsonValue::Int(shipped as i64)),
         ]));
-    }
-    if dense_rows > 0 && pushed_rows > 0 {
-        report.note(format!(
-            "4-shard shuffle volume per boosting round: {dense_rows} rows dense vs \
-             {pushed_rows} rows pushed down ({:.1}x fewer)",
-            dense_rows as f64 / pushed_rows as f64
-        ));
     }
     report.note("every configuration trained the SAME model, bit for bit (dyadic recipe)");
     report.print();
     let json = JsonValue::obj(vec![
         ("experiment", JsonValue::Str("shards".into())),
         ("bit_identical", JsonValue::Int(1)),
-        ("dense_rows_4shard", JsonValue::Int(dense_rows as i64)),
-        ("pushed_rows_4shard", JsonValue::Int(pushed_rows as i64)),
         ("rows", JsonValue::Arr(json_rows)),
     ]);
     let path = write_bench_json("shards", &json).map_err(|e| e.to_string())?;
@@ -1803,25 +1768,19 @@ fn shard_scale() -> Result<(), String> {
     Ok(())
 }
 
-#[cfg(not(feature = "sharded"))]
-fn shard_scale() -> Result<(), String> {
-    Err("the `shards` sweep needs `--features sharded` (cargo run -p joinboost-bench --features sharded --release --bin experiments -- shards)".into())
-}
-
 /// `remote`: the same scaling sweep over *multi-process* sharding — each
 /// shard is an engine behind a wire server on a loopback socket, so the
-/// PR-4 shuffle-reduction claim becomes measurable in real bytes on the
-/// wire, not just `rows_shipped` accounting. Models are asserted
-/// bit-identical across every configuration, transport included.
+/// shuffle volume is measured in real bytes on the wire, not just
+/// `rows_shipped` accounting. Models are asserted bit-identical across
+/// every configuration, transport included.
 ///
 /// With `flaky`, every server drops every 9th connection mid-stream (a
 /// recovering fault, not a crash): the retrying clients reconnect,
 /// resume their sessions and replay — and the bit-identity assertions
 /// must *still* hold, which is the fault-tolerance claim measured rather
 /// than merely unit-tested.
-#[cfg(feature = "sharded")]
 fn remote_scale(flaky: bool) -> Result<(), String> {
-    use joinboost::backend::{PushdownConfig, RemoteOptions, RetryPolicy, WireServer};
+    use joinboost::backend::{RemoteOptions, RetryPolicy, WireServer};
     use joinboost_engine::Database;
 
     let (fact, dim, graph) = highcard_star();
@@ -1834,32 +1793,18 @@ fn remote_scale(flaky: bool) -> Result<(), String> {
         },
         &[
             "servers",
-            "pushdown",
             "train(median of 3)",
             "rows_shipped",
             "wire sent",
             "wire recv",
-            "split rounds",
-            "split recv/round",
         ],
     );
     let mb = |b: u64| format!("{:.2} MB", b as f64 / (1024.0 * 1024.0));
-    let kb = |b: u64| format!("{:.1} KB", b as f64 / 1024.0);
     let mut reference: Option<joinboost::GbmModel> = None;
-    let mut dense_recv: u64 = 0;
-    let mut pushed_recv: u64 = 0;
-    // Split-protocol volume at 4 servers, per refinement round: the
-    // dense baseline re-ships every shard's absorbed table once per
-    // split query (one ship-everything "round"); the pipelined-delta
-    // coordinator receives boundary summaries only, and after round 0
-    // only the subdivided intervals.
-    let (mut dense_split_recv, mut dense_split_rounds) = (0u64, 0u64);
-    let (mut delta_split_recv, mut delta_split_rounds) = (0u64, 0u64);
     let mut json_rows: Vec<JsonValue> = Vec::new();
-    for &(shards, pushdown) in &[(1usize, true), (2, false), (2, true), (4, false), (4, true)] {
+    for shards in [1usize, 2, 4] {
         let mut times: Vec<f64> = Vec::new();
         let (mut shipped, mut sent, mut received) = (0u64, 0u64, 0u64);
-        let (mut split_rounds, mut split_sent, mut split_recv) = (0u64, 0u64, 0u64);
         for _ in 0..3 {
             // Real socket servers, one engine process-alike each (spawned
             // in-process so the sweep is self-contained; the shard_server
@@ -1894,11 +1839,6 @@ fn remote_scale(flaky: bool) -> Result<(), String> {
             let backend =
                 ShardedBackend::remote(&addrs, EngineConfig::duckdb_mem(), "fact", "k", opts)
                     .map_err(|e| e.to_string())?;
-            if !pushdown {
-                backend.set_pushdown(false);
-            } else {
-                backend.set_pushdown_config(PushdownConfig::default());
-            }
             backend
                 .create_table("fact", fact.clone())
                 .map_err(|e| e.to_string())?;
@@ -1917,76 +1857,30 @@ fn remote_scale(flaky: bool) -> Result<(), String> {
             shipped = stats.rows_shipped;
             sent = stats.bytes_sent;
             received = stats.bytes_received;
-            split_rounds = stats.split_rounds;
-            split_sent = stats.split_bytes_sent;
-            split_recv = stats.split_bytes_received;
             match &reference {
                 None => reference = Some(model),
                 Some(r) => {
                     if !bit_identical(r, &model) {
-                        return Err(format!(
-                            "remote x{shards} pushdown={pushdown} trained a different model"
-                        ));
+                        return Err(format!("remote x{shards} trained a different model"));
                     }
                 }
             }
         }
         times.sort_by(|a, b| a.total_cmp(b));
-        if shards == 4 {
-            if pushdown {
-                pushed_recv = received;
-                delta_split_recv = split_recv;
-                delta_split_rounds = split_rounds;
-            } else {
-                dense_recv = received;
-                dense_split_recv = split_recv;
-                dense_split_rounds = split_rounds;
-            }
-        }
         report.row(&[
             shards.to_string(),
-            if pushdown { "on" } else { "off" }.to_string(),
             format!("{:.3}", times[times.len() / 2]),
             shipped.to_string(),
             mb(sent),
             mb(received),
-            split_rounds.to_string(),
-            kb(split_recv / split_rounds.max(1)),
         ]);
         json_rows.push(JsonValue::obj(vec![
             ("servers", JsonValue::Int(shards as i64)),
-            ("pushdown", JsonValue::Int(i64::from(pushdown))),
             ("train_median_s", JsonValue::Num(times[times.len() / 2])),
             ("rows_shipped", JsonValue::Int(shipped as i64)),
             ("wire_bytes_sent", JsonValue::Int(sent as i64)),
             ("wire_bytes_received", JsonValue::Int(received as i64)),
-            ("split_rounds", JsonValue::Int(split_rounds as i64)),
-            ("split_bytes_sent", JsonValue::Int(split_sent as i64)),
-            ("split_bytes_received", JsonValue::Int(split_recv as i64)),
         ]));
-    }
-    if dense_recv > 0 && pushed_recv > 0 {
-        report.note(format!(
-            "4-server bytes received by the coordinator: {} dense vs {} pushed down \
-             ({:.1}x fewer wire bytes)",
-            mb(dense_recv),
-            mb(pushed_recv),
-            dense_recv as f64 / pushed_recv as f64
-        ));
-    }
-    let dense_per_round = dense_split_recv / dense_split_rounds.max(1);
-    let delta_per_round = delta_split_recv / delta_split_rounds.max(1);
-    if dense_per_round > 0 && delta_per_round > 0 {
-        report.note(format!(
-            "4-server split traffic per refinement round: {} dense re-ship \
-             ({} rounds) vs {} pipelined delta ({} rounds) — {:.1}x fewer recv \
-             bytes per round",
-            kb(dense_per_round),
-            dense_split_rounds,
-            kb(delta_per_round),
-            delta_split_rounds,
-            dense_per_round as f64 / delta_per_round as f64
-        ));
     }
     if flaky {
         report.note(
@@ -2001,26 +1895,11 @@ fn remote_scale(flaky: bool) -> Result<(), String> {
         ("experiment", JsonValue::Str("remote".into())),
         ("bit_identical", JsonValue::Int(1)),
         ("flaky", JsonValue::Int(i64::from(flaky))),
-        ("dense_recv_4server", JsonValue::Int(dense_recv as i64)),
-        ("pushed_recv_4server", JsonValue::Int(pushed_recv as i64)),
-        (
-            "dense_split_recv_per_round_4server",
-            JsonValue::Int(dense_per_round as i64),
-        ),
-        (
-            "delta_split_recv_per_round_4server",
-            JsonValue::Int(delta_per_round as i64),
-        ),
         ("rows", JsonValue::Arr(json_rows)),
     ]);
     let path = write_bench_json("remote", &json).map_err(|e| e.to_string())?;
     println!("wrote {}", path.display());
     Ok(())
-}
-
-#[cfg(not(feature = "sharded"))]
-fn remote_scale(_flaky: bool) -> Result<(), String> {
-    Err("the `remote` sweep needs `--features sharded` (cargo run -p joinboost-bench --features sharded --release --bin experiments -- remote)".into())
 }
 
 /// A spawned `shard_server` child process (killed on drop). The binary is

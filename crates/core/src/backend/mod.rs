@@ -26,7 +26,7 @@
 //!   floating-point side of that argument). Its shards sit behind the
 //!   pluggable [`ShardTransport`] seam: in-process engines by default,
 //!   [`RemoteConnection`]s for multi-*process* sharding over sockets —
-//!   the fan-out, merge and split-pushdown logic is identical either way.
+//!   the fan-out and merge logic is identical either way.
 //!
 //! [`Database`] itself also implements the trait, so existing code that
 //! holds a `Database` keeps working unchanged: `&Database` coerces to
@@ -61,7 +61,7 @@ pub use remote::{
     RemoteOptions, RetryPolicy, ServeClient, ServeError, ServeOptions, WireServer,
     WireServerBuilder,
 };
-pub use sharded::{PushdownConfig, ShardTransport, ShardedBackend, SplitOpen};
+pub use sharded::{ShardTransport, ShardedBackend, SplitOpen};
 pub use wire::JobSpec;
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -140,14 +140,13 @@ pub struct BackendStats {
     pub replicated_statements: u64,
     /// Queries answered by the coordinator alone.
     pub coordinator_selects: u64,
-    /// Split queries evaluated shard-locally (boundary summaries + top-k
-    /// candidates shipped instead of full per-value aggregates).
+    /// Kept only for the benchmark harness, which builds this struct by
+    /// literal; always 0.
     pub pushdown_splits: u64,
-    /// Summary rounds executed across all pushdown splits — the
-    /// denominator that turns split wire volume into *per-round* volume.
+    /// Kept only for the benchmark harness; always 0.
     pub split_rounds: u64,
-    /// Rows moved shard → coordinator by gathers, merges, summaries and
-    /// samples — the shuffle volume of the paper's multi-node experiments.
+    /// Rows moved shard → coordinator by gathers, merges and samples —
+    /// the shuffle volume of the paper's multi-node experiments.
     pub rows_shipped: u64,
     /// Statements that survived a `print ∘ parse ∘ print` round-trip.
     pub text_round_trips: u64,
@@ -157,14 +156,9 @@ pub struct BackendStats {
     pub bytes_sent: u64,
     /// Bytes read back from remote sockets (framing included).
     pub bytes_received: u64,
-    /// The subset of `bytes_sent` carrying split-protocol frames
-    /// (open/boundaries/summaries/refine/fetch) — divided by
-    /// `split_rounds` this is the per-round request volume of
-    /// distributed split evaluation.
+    /// Kept only for the benchmark harness; always 0.
     pub split_bytes_sent: u64,
-    /// The subset of `bytes_received` carrying split-protocol replies —
-    /// divided by `split_rounds`, the per-round wire volume the
-    /// delta encoding exists to shrink.
+    /// Kept only for the benchmark harness; always 0.
     pub split_bytes_received: u64,
 }
 

@@ -27,8 +27,8 @@
 //! bound every wait; on a transport error the client reconnects with
 //! exponential backoff under its [`RetryPolicy`], re-presents its session
 //! resume token, and re-issues every in-flight request. The server keeps
-//! a session alive across connection drops for a grace period — split
-//! handles, temp tables and the replay window of applied-but-unacked
+//! a session alive across connection drops for a grace period — temp
+//! tables and the replay window of applied-but-unacked
 //! `(seq, response)` pairs survive, so a replayed request that was
 //! already applied returns the cached response instead of re-executing
 //! (safe replay of non-idempotent statements). Only when the retry
@@ -51,16 +51,10 @@ use joinboost_engine::{DataType, Database, EngineError, Table};
 use joinboost_graph::JoinGraph;
 use joinboost_sql::ast::Statement;
 
-use super::sharded::SplitOpen;
-use super::split::{
-    keys_from_table, keys_to_table, summaries_from_table, summaries_to_table, IntervalSummary,
-    LocalSplitState, MergeSpec, SplitHandle, SplitSpec,
-};
 use super::wire::{
     decode_request, decode_response, encode_request, encode_response, forest_bytes,
     forest_from_bytes, job_spec_bytes, job_spec_from_bytes, read_frame, scorer_spec_bytes,
-    scorer_spec_from_bytes, write_frame, JobSpec, Request, Response, MAGIC, MAX_FRAME, MIN_VERSION,
-    VERSION,
+    scorer_spec_from_bytes, write_frame, JobSpec, Request, Response, MAGIC, MAX_FRAME, VERSION,
 };
 use super::{BackendCapabilities, BackendResult, BackendStats, ShardTransport, SqlBackend};
 use crate::boosting::train_gbm_resume;
@@ -297,18 +291,16 @@ impl ServeState {
     }
 }
 
-/// A resumable session: split-protocol handles, the load budget, the
-/// session's temp tables, and the idempotent-replay cache. Keyed by the
-/// client's resume token, a session survives connection drops for the
-/// server's grace period — only the expiry sweeper reclaims it.
+/// A resumable session: the load budget, the session's temp tables, and
+/// the idempotent-replay cache. Keyed by the client's resume token, a
+/// session survives connection drops for the server's grace period —
+/// only the expiry sweeper reclaims it.
 struct SessionState {
     token: u64,
     inner: Mutex<SessionInner>,
 }
 
 struct SessionInner {
-    splits: HashMap<u64, LocalSplitState>,
-    next_split: u64,
     /// Bytes bulk-loaded via `CreateTable` in this session (frame
     /// sizes, the number the wire actually carried).
     bytes_loaded: u64,
@@ -323,15 +315,12 @@ struct SessionInner {
     /// the cached bytes fell to the replay byte budget, in which case
     /// the replay gets a typed error instead of re-execution
     /// (exactly-once is preserved; at-least-once is not silently
-    /// substituted). A v4 client acks its lowest in-flight seq on every
-    /// request, releasing older entries; a v3 client keeps at most one
-    /// entry (the pre-multiplexing single slot, pruned below each
-    /// applied seq).
+    /// substituted). The client acks its lowest in-flight seq on every
+    /// request, releasing older entries.
     responses: std::collections::BTreeMap<u64, Option<Vec<u8>>>,
-    /// Every seq below this has been acknowledged (v4) or superseded
-    /// (v3): it can never be legitimately replayed, so a request below
-    /// the floor that misses the window is answered with a typed
-    /// stale-sequence error. A fresh seq at or above the floor executes
+    /// Every seq below this has been acknowledged: it can never be
+    /// legitimately replayed, so a request below the floor that misses
+    /// the window is answered with a typed stale-sequence error. A fresh seq at or above the floor executes
     /// regardless of arrival order.
     acked_floor: u64,
     /// `jb_`-prefixed (non-`jb_job`) tables this session created over the
@@ -348,8 +337,6 @@ impl SessionState {
         SessionState {
             token,
             inner: Mutex::new(SessionInner {
-                splits: HashMap::new(),
-                next_split: 0,
                 bytes_loaded: 0,
                 last_applied: 0,
                 responses: std::collections::BTreeMap::new(),
@@ -430,150 +417,6 @@ impl SessionInner {
             }
             _ => {}
         }
-    }
-}
-
-/// Execute the absorbed query and build the shard-side split state, or
-/// the ready-made fallback/error response. `Err(Response::Table)` is the
-/// dense fallback (NULL components); other `Err`s are typed errors.
-fn open_split_state(
-    db: &Database,
-    sql: String,
-    key_col: u32,
-    c0_col: u32,
-    c1_col: u32,
-    specs: Vec<u8>,
-) -> Result<LocalSplitState, Response> {
-    let specs: Option<Vec<MergeSpec>> = specs.iter().map(|&t| MergeSpec::from_tag(t)).collect();
-    let Some(specs) = specs else {
-        return Err(Response::Err(EngineError::Other(
-            "bad merge-spec tag".into(),
-        )));
-    };
-    let table = match db.execute(&sql) {
-        Ok(t) => t,
-        Err(e) => return Err(Response::Err(e)),
-    };
-    if [key_col, c0_col, c1_col]
-        .iter()
-        .any(|&c| c as usize >= table.num_columns())
-        || specs.len() != table.num_columns()
-    {
-        return Err(Response::Err(EngineError::Other(
-            "split spec does not match the absorbed result".into(),
-        )));
-    }
-    let spec = SplitSpec {
-        key_col: key_col as usize,
-        c0_col: c0_col as usize,
-        c1_col: c1_col as usize,
-        specs,
-    };
-    // Protocol inapplicable (NULL components): hand the absorbed result
-    // back so the client's dense fallback needs no second execution.
-    LocalSplitState::build(table, spec).map_err(Response::Table)
-}
-
-/// Handle one `Split*` request against the connection's session.
-fn handle_split_request(db: &Database, session: &mut SessionInner, req: Request) -> Response {
-    match req {
-        Request::SplitOpen {
-            sql,
-            key_col,
-            c0_col,
-            c1_col,
-            specs,
-        } => match open_split_state(db, sql, key_col, c0_col, c1_col, specs) {
-            Err(resp) => resp,
-            Ok(state) => {
-                let rows = state.num_rows() as u64;
-                let id = session.next_split;
-                session.next_split += 1;
-                session.splits.insert(id, state);
-                Response::SplitOpened(id, rows)
-            }
-        },
-        Request::SplitOpenBounds {
-            sql,
-            key_col,
-            c0_col,
-            c1_col,
-            specs,
-            k,
-        } => match open_split_state(db, sql, key_col, c0_col, c1_col, specs) {
-            Err(resp) => resp,
-            Ok(state) => {
-                let rows = state.num_rows() as u64;
-                let bounds = match state.boundaries(k as usize) {
-                    Ok(keys) => keys_to_table(&keys),
-                    Err(e) => return Response::Err(e),
-                };
-                let id = session.next_split;
-                session.next_split += 1;
-                session.splits.insert(id, state);
-                Response::SplitOpenedBounds { id, rows, bounds }
-            }
-        },
-        Request::SplitClose { id } => {
-            session.splits.remove(&id);
-            Response::Unit
-        }
-        Request::SplitBoundaries { id, .. }
-        | Request::SplitSummaries { id, .. }
-        | Request::SplitSummariesDelta { id, .. }
-        | Request::SplitRefine { id, .. }
-        | Request::SplitFetch { id, .. } => {
-            let Some(state) = session.splits.get(&id) else {
-                return Response::Err(EngineError::Other(format!("unknown split handle {id}")));
-            };
-            let result = match req {
-                Request::SplitBoundaries { k, .. } => state
-                    .boundaries(k as usize)
-                    .map(|keys| Response::Table(keys_to_table(&keys))),
-                Request::SplitSummaries { grid, .. } => state
-                    .summaries(&keys_from_table(&grid))
-                    .map(|s| Response::Table(summaries_to_table(&s))),
-                Request::SplitSummariesDelta { grid, changed, .. } => {
-                    let grid = keys_from_table(&grid);
-                    if changed.iter().any(|&j| j as usize >= grid.len()) {
-                        return Response::Err(EngineError::Other(
-                            "delta interval out of grid range".into(),
-                        ));
-                    }
-                    let changed: Vec<usize> = changed.iter().map(|&j| j as usize).collect();
-                    state
-                        .summaries_delta(&grid, &changed)
-                        .map(|s| Response::Table(summaries_to_table(&s)))
-                }
-                Request::SplitRefine { grid, targets, .. } => {
-                    let targets: Vec<(usize, usize)> = targets
-                        .iter()
-                        .map(|&(j, per)| (j as usize, per as usize))
-                        .collect();
-                    let grid = keys_from_table(&grid);
-                    if targets.iter().any(|&(j, _)| j >= grid.len()) {
-                        return Response::Err(EngineError::Other(
-                            "refine interval out of grid range".into(),
-                        ));
-                    }
-                    state
-                        .refine(&grid, &targets)
-                        .map(|keys| Response::Table(keys_to_table(&keys)))
-                }
-                Request::SplitFetch { grid, retain, .. } => {
-                    let grid = keys_from_table(&grid);
-                    if retain.len() != grid.len() {
-                        return Response::Err(EngineError::Other(
-                            "retain mask does not match the grid".into(),
-                        ));
-                    }
-                    state.fetch(&grid, &retain).map(Response::Table)
-                }
-                _ => unreachable!("outer match covers the split requests"),
-            };
-            result.unwrap_or_else(Response::Err)
-        }
-        _ => unreachable!("caller routes only split requests here"),
     }
 }
 
@@ -1052,26 +895,14 @@ fn handle_request(
             keys,
             partial,
         } => predict_batch_response(state, job, spec, &keys, partial),
-        Request::SplitOpen { .. }
-        | Request::SplitOpenBounds { .. }
-        | Request::SplitBoundaries { .. }
-        | Request::SplitSummaries { .. }
-        | Request::SplitSummariesDelta { .. }
-        | Request::SplitRefine { .. }
-        | Request::SplitFetch { .. }
-        | Request::SplitClose { .. } => {
-            // The connection loop routes these to the session-aware
-            // handler first; reaching here is a protocol bug.
-            Response::Err(EngineError::Other("split request outside a session".into()))
-        }
     }
 }
 
 /// One connection's request loop. Ends on EOF, I/O error, or fault
 /// injection. On exit the session is *detached*, not destroyed: its
-/// state (split handles, temp tables, jobs, replay cache) survives for
-/// the server's grace period so a reconnecting client can resume; the
-/// expiry sweeper reclaims sessions that stay gone.
+/// state (temp tables, jobs, replay cache) survives for the server's
+/// grace period so a reconnecting client can resume; the expiry sweeper
+/// reclaims sessions that stay gone.
 fn serve_connection(state: &Arc<ServeState>, conn_id: u64, mut stream: TcpStream) {
     let mut session: Option<Arc<SessionState>> = None;
     serve_requests(state, conn_id, &mut session, &mut stream);
@@ -1086,25 +917,20 @@ fn serve_connection(state: &Arc<ServeState>, conn_id: u64, mut stream: TcpStream
     }
 }
 
-/// Answer one enveloped request frame (`[u64 seq][request]` for v3,
-/// `[u64 seq][u64 ack][request]` for v4) against the session, consulting
-/// the replay window first. Returns the encoded response frame — with
-/// its own `[u64 seq]` envelope when the connection negotiated v4 — and
-/// the caller writes it (or drops it, under fault injection).
+/// Answer one enveloped request frame (`[u64 seq][u64 ack][request]`)
+/// against the session, consulting the replay window first. Returns the
+/// encoded response frame with its own `[u64 seq]` envelope; the caller
+/// writes it (or drops it, under fault injection).
 fn enveloped_response(
     state: &Arc<ServeState>,
     sess: &Arc<SessionState>,
     seq: u64,
     ack: u64,
-    v4: bool,
     body: &[u8],
 ) -> Vec<u8> {
-    // Response envelope: a v4 client matches replies to in-flight
-    // requests by seq; a v3 client gets bare responses as before.
+    // Response envelope: the client matches replies to in-flight
+    // requests by seq.
     let envelope = |bytes: Vec<u8>| -> Vec<u8> {
-        if !v4 {
-            return bytes;
-        }
         let mut out = Vec::with_capacity(bytes.len() + 8);
         out.extend_from_slice(&seq.to_le_bytes());
         out.extend_from_slice(&bytes);
@@ -1133,9 +959,8 @@ fn enveloped_response(
                 ))));
             }
             None if seq < inner.acked_floor => {
-                // Below the floor the client has acknowledged (or, for
-                // v3, below the last applied seq): it can never be a
-                // legitimate replay.
+                // Below the floor the client has acknowledged: it can
+                // never be a legitimate replay.
                 return envelope(encode_response(&Response::Err(EngineError::Other(
                     format!(
                         "stale sequence {seq}: session already applied {}",
@@ -1150,16 +975,6 @@ fn enveloped_response(
         }
     }
     let resp = match decode_request(body) {
-        Ok(
-            req @ (Request::SplitOpen { .. }
-            | Request::SplitOpenBounds { .. }
-            | Request::SplitBoundaries { .. }
-            | Request::SplitSummaries { .. }
-            | Request::SplitSummariesDelta { .. }
-            | Request::SplitRefine { .. }
-            | Request::SplitFetch { .. }
-            | Request::SplitClose { .. }),
-        ) => handle_split_request(&state.db, &mut inner, req),
         Ok(req) => {
             // Per-session load budget: meter `CreateTable` by the
             // bytes the wire actually carried, and reject — typed,
@@ -1198,8 +1013,7 @@ fn enveloped_response(
     // live connection, not a silent hangup the client would read as
     // a crashed server.
     let mut out = encode_response(&resp);
-    let env_len = if v4 { 8 } else { 0 };
-    if out.len() + env_len > MAX_FRAME as usize {
+    if out.len() + 8 > MAX_FRAME as usize {
         out = encode_response(&Response::Err(EngineError::Other(format!(
             "result frame of {} bytes exceeds the {MAX_FRAME}-byte wire limit; \
              transfer large tables in parts",
@@ -1209,13 +1023,11 @@ fn enveloped_response(
     let out = envelope(out);
     // Cache the (possibly substituted) encoded reply *before* it is
     // written: a connection drop between apply and reply then replays
-    // byte-identically. The client's ack (its lowest in-flight seq; the
-    // applied seq itself for v3, restoring the single slot) releases
-    // window entries it can never replay again.
+    // byte-identically. The client's ack (its lowest in-flight seq)
+    // releases window entries it can never replay again.
     if seq != 0 {
         inner.last_applied = inner.last_applied.max(seq);
-        let floor = if v4 { ack.min(seq) } else { seq };
-        inner.acked_floor = inner.acked_floor.max(floor);
+        inner.acked_floor = inner.acked_floor.max(ack.min(seq));
         let keep = inner.acked_floor;
         let mut released = 0u64;
         while let Some(entry) = inner.responses.first_entry() {
@@ -1274,16 +1086,13 @@ fn enforce_replay_budget(state: &Arc<ServeState>, keep_token: u64) {
 }
 
 /// Answer the handshake (the raw, un-enveloped first frame) and attach
-/// the session on success. `wire_version` receives the negotiated
-/// protocol version: the server speaks every version down to
-/// [`MIN_VERSION`], so an old v3 client keeps its pre-multiplexing
-/// framing (bare responses, single-slot replay) on this connection.
+/// the session on success. The server speaks [`VERSION`] only; any other
+/// version gets a typed mismatch error.
 fn hello_response(
     state: &Arc<ServeState>,
     session: &mut Option<Arc<SessionState>>,
     conn_id: u64,
     payload: &[u8],
-    wire_version: &mut u32,
 ) -> Response {
     match decode_request(payload) {
         Ok(Request::Hello {
@@ -1293,13 +1102,11 @@ fn hello_response(
         }) => {
             if magic != MAGIC {
                 Response::Err(EngineError::Other("bad protocol magic".into()))
-            } else if !(MIN_VERSION..=VERSION).contains(&version) {
+            } else if version != VERSION {
                 Response::Err(EngineError::Other(format!(
-                    "protocol version mismatch: client {version}, server {VERSION} \
-                     (oldest supported {MIN_VERSION})"
+                    "protocol version mismatch: client {version}, server {VERSION}"
                 )))
             } else {
-                *wire_version = version;
                 *session = Some(state.attach_session(token, conn_id));
                 Response::Caps {
                     column_swap: state.db.config().allow_swap,
@@ -1328,7 +1135,6 @@ fn serve_requests(
     session: &mut Option<Arc<SessionState>>,
     stream: &mut TcpStream,
 ) {
-    let mut wire_version = VERSION;
     loop {
         let payload = match read_frame(stream) {
             Ok(p) => p,
@@ -1364,13 +1170,7 @@ fn serve_requests(
             return;
         }
         let out = match session {
-            None => encode_response(&hello_response(
-                state,
-                session,
-                conn_id,
-                &payload,
-                &mut wire_version,
-            )),
+            None => encode_response(&hello_response(state, session, conn_id, &payload)),
             Some(sess) => {
                 if payload.len() < 8 {
                     encode_response(&Response::Err(EngineError::Other(
@@ -1378,22 +1178,17 @@ fn serve_requests(
                     )))
                 } else {
                     let seq = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-                    if wire_version >= 4 {
-                        if payload.len() < 16 {
-                            let mut out = seq.to_le_bytes().to_vec();
-                            out.extend_from_slice(&encode_response(&Response::Err(
-                                EngineError::Other(
-                                    "wire decode: request missing its ack envelope".into(),
-                                ),
-                            )));
-                            out
-                        } else {
-                            let ack =
-                                u64::from_le_bytes(payload[8..16].try_into().expect("8 bytes"));
-                            enveloped_response(state, sess, seq, ack, true, &payload[16..])
-                        }
+                    if payload.len() < 16 {
+                        let mut out = seq.to_le_bytes().to_vec();
+                        out.extend_from_slice(&encode_response(&Response::Err(
+                            EngineError::Other(
+                                "wire decode: request missing its ack envelope".into(),
+                            ),
+                        )));
+                        out
                     } else {
-                        enveloped_response(state, sess, seq, 0, false, &payload[8..])
+                        let ack = u64::from_le_bytes(payload[8..16].try_into().expect("8 bytes"));
+                        enveloped_response(state, sess, seq, ack, &payload[16..])
                     }
                 }
             }
@@ -1421,9 +1216,9 @@ fn serve_requests(
 }
 
 /// Background reclaimer: a session detached for longer than the grace
-/// period is removed — its active jobs are cancelled, its split handles
-/// freed, and the `jb_` temp tables it created over the wire dropped,
-/// except those a scorer index is being served from.
+/// period is removed — its active jobs are cancelled and the `jb_` temp
+/// tables it created over the wire dropped, except those a scorer index
+/// is being served from.
 fn sweep_sessions(state: &Arc<ServeState>) {
     let now = Instant::now();
     let expired: Vec<Arc<SessionState>> = {
@@ -1444,7 +1239,6 @@ fn sweep_sessions(state: &Arc<ServeState>) {
     for sess in expired {
         let temps = {
             let mut inner = sess.inner.lock();
-            inner.splits.clear();
             // The session's replay window dies with it: release its bytes
             // from the global budget.
             let cached: u64 = inner
@@ -1615,9 +1409,9 @@ impl WireServerBuilder {
         self
     }
 
-    /// How long a disconnected session's state (split handles, temp
-    /// tables, active jobs, replay cache) survives before the sweeper
-    /// reclaims it (default 2s). Must comfortably exceed the client's
+    /// How long a disconnected session's state (temp tables, active
+    /// jobs, replay cache) survives before the sweeper reclaims it
+    /// (default 2s). Must comfortably exceed the client's
     /// worst-case reconnect backoff.
     pub fn session_grace(mut self, grace: Duration) -> WireServerBuilder {
         self.grace = grace;
@@ -1945,11 +1739,6 @@ pub struct RemoteConnection {
     column_swap: bool,
     bytes_sent: AtomicU64,
     bytes_received: AtomicU64,
-    /// Split-protocol wire volume (one logical frame per request/reply,
-    /// reconnect retransmits excluded) — the per-round traffic the
-    /// sharded coordinator reports, as opposed to lifetime totals.
-    split_bytes_sent: AtomicU64,
-    split_bytes_received: AtomicU64,
     requests: AtomicU64,
     /// Reconnect attempts performed (diagnostics).
     retries: AtomicU64,
@@ -1997,29 +1786,13 @@ enum Slot {
     Failed(String),
 }
 
-/// `[u64 seq][u64 ack][body]` — the v4 request envelope.
-fn envelope_v4(seq: u64, ack: u64, body: &[u8]) -> Vec<u8> {
+/// `[u64 seq][u64 ack][body]` — the request envelope.
+fn envelope(seq: u64, ack: u64, body: &[u8]) -> Vec<u8> {
     let mut payload = Vec::with_capacity(body.len() + 16);
     payload.extend_from_slice(&seq.to_le_bytes());
     payload.extend_from_slice(&ack.to_le_bytes());
     payload.extend_from_slice(body);
     payload
-}
-
-/// Whether a request belongs to the split protocol (for the split wire
-/// volume counters).
-fn is_split_request(req: &Request) -> bool {
-    matches!(
-        req,
-        Request::SplitOpen { .. }
-            | Request::SplitOpenBounds { .. }
-            | Request::SplitBoundaries { .. }
-            | Request::SplitSummaries { .. }
-            | Request::SplitSummariesDelta { .. }
-            | Request::SplitRefine { .. }
-            | Request::SplitFetch { .. }
-            | Request::SplitClose { .. }
-    )
 }
 
 /// TCP connect + raw `Hello` handshake presenting `token`. Returns the
@@ -2136,8 +1909,6 @@ impl RemoteConnection {
             column_swap,
             bytes_sent: AtomicU64::new(sent),
             bytes_received: AtomicU64::new(received),
-            split_bytes_sent: AtomicU64::new(0),
-            split_bytes_received: AtomicU64::new(0),
             requests: AtomicU64::new(1),
             retries: AtomicU64::new(0),
             poisoned: Mutex::new(None),
@@ -2173,16 +1944,6 @@ impl RemoteConnection {
         self.retries.load(Ordering::Relaxed)
     }
 
-    /// `(bytes_sent, bytes_received)` attributable to the split
-    /// protocol, framing and envelopes included, counted once per
-    /// logical request/reply (reconnect retransmits excluded).
-    pub fn split_wire_byte_counts(&self) -> (u64, u64) {
-        (
-            self.split_bytes_sent.load(Ordering::Relaxed),
-            self.split_bytes_received.load(Ordering::Relaxed),
-        )
-    }
-
     /// One request/response exchange over the multiplexer: register an
     /// in-flight slot, write the enveloped frame, then wait (or read on
     /// everyone's behalf) until the reply with this seq lands. Transport
@@ -2202,7 +1963,6 @@ impl RemoteConnection {
                 body.len() + 16
             )));
         }
-        let split = is_split_request(req);
         let seq = {
             // Registration and the poison check share one critical
             // section with recovery's fail-everything pass, so a request
@@ -2216,10 +1976,6 @@ impl RemoteConnection {
             }
             mux.next_seq += 1;
             let seq = mux.next_seq;
-            if split {
-                self.split_bytes_sent
-                    .fetch_add(body.len() as u64 + 20, Ordering::Relaxed);
-            }
             mux.inflight.insert(
                 seq,
                 Pending {
@@ -2233,10 +1989,6 @@ impl RemoteConnection {
         let outcome = self.await_reply(seq);
         let result = match outcome {
             Ok(bytes) => {
-                if split {
-                    self.split_bytes_received
-                        .fetch_add(bytes.len() as u64 + 12, Ordering::Relaxed);
-                }
                 self.requests.fetch_add(1, Ordering::Relaxed);
                 decode_response(&bytes).map_err(|e| {
                     // A reply that decodes to garbage is a broken peer,
@@ -2279,7 +2031,7 @@ impl RemoteConnection {
                     return;
                 }
             };
-            (envelope_v4(seq, ack, &p.body), stream, mux.generation)
+            (envelope(seq, ack, &p.body), stream, mux.generation)
         };
         let mut stream = stream;
         let written = {
@@ -2439,7 +2191,7 @@ impl RemoteConnection {
                 mux.inflight
                     .iter()
                     .filter(|(_, p)| matches!(p.slot, Slot::Waiting))
-                    .map(|(&s, p)| envelope_v4(s, ack.unwrap_or(s), &p.body))
+                    .map(|(&s, p)| envelope(s, ack.unwrap_or(s), &p.body))
                     .collect()
             };
             self.cv.notify_all();
@@ -2644,63 +2396,6 @@ impl ShardTransport for RemoteConnection {
         }
     }
 
-    fn split_open(
-        &self,
-        stmt: &Statement,
-        spec: &SplitSpec,
-        k: usize,
-    ) -> BackendResult<SplitOpen<'_>> {
-        // The absorbed result stays on the server; only the protocol's
-        // messages (boundaries, summaries, candidate rows) will cross.
-        // `k > 0` uses the fused open: the reply already carries the
-        // first k equal-count boundary keys, saving one round trip.
-        if k > 0 {
-            let req = Request::SplitOpenBounds {
-                sql: stmt.to_string(),
-                key_col: spec.key_col as u32,
-                c0_col: spec.c0_col as u32,
-                c1_col: spec.c1_col as u32,
-                specs: spec.specs.iter().map(|s| s.to_tag()).collect(),
-                k: k as u32,
-            };
-            return match self.call(&req)? {
-                Response::SplitOpenedBounds { id, rows, bounds } => Ok(SplitOpen::Protocol {
-                    handle: Box::new(RemoteSplitHandle {
-                        conn: self,
-                        id,
-                        rows: rows as usize,
-                    }),
-                    bounds: keys_from_table(&bounds),
-                }),
-                // Protocol inapplicable on the server's data: the
-                // absorbed result came back, ready for the dense merge.
-                Response::Table(t) => Ok(SplitOpen::Dense(t)),
-                other => Err(self.unexpected("SplitOpenBounds", &other)),
-            };
-        }
-        let req = Request::SplitOpen {
-            sql: stmt.to_string(),
-            key_col: spec.key_col as u32,
-            c0_col: spec.c0_col as u32,
-            c1_col: spec.c1_col as u32,
-            specs: spec.specs.iter().map(|s| s.to_tag()).collect(),
-        };
-        match self.call(&req)? {
-            Response::SplitOpened(id, rows) => Ok(SplitOpen::Protocol {
-                handle: Box::new(RemoteSplitHandle {
-                    conn: self,
-                    id,
-                    rows: rows as usize,
-                }),
-                bounds: Vec::new(),
-            }),
-            // Protocol inapplicable on the server's data: the absorbed
-            // result came back instead, ready for the dense merge.
-            Response::Table(t) => Ok(SplitOpen::Dense(t)),
-            other => Err(self.unexpected("SplitOpen", &other)),
-        }
-    }
-
     fn predict_partials(&self, spec: &ScorerSpec, keys: &[i64]) -> BackendResult<Vec<(bool, f64)>> {
         // Shard-resident scoring: only keys and partial sums cross the
         // wire, never message tables.
@@ -2709,132 +2404,6 @@ impl ShardTransport for RemoteConnection {
 
     fn wire_bytes(&self) -> (u64, u64) {
         self.wire_byte_counts()
-    }
-
-    fn split_wire_bytes(&self) -> (u64, u64) {
-        self.split_wire_byte_counts()
-    }
-}
-
-/// Client proxy of a server-side split handle: every method is one
-/// request/response on the shard's connection.
-struct RemoteSplitHandle<'a> {
-    conn: &'a RemoteConnection,
-    id: u64,
-    rows: usize,
-}
-
-impl RemoteSplitHandle<'_> {
-    fn table_reply(&self, what: &str, req: &Request) -> BackendResult<Table> {
-        match self.conn.call(req)? {
-            Response::Table(t) => Ok(t),
-            other => Err(self.conn.unexpected(what, &other)),
-        }
-    }
-}
-
-impl SplitHandle for RemoteSplitHandle<'_> {
-    fn num_rows(&self) -> usize {
-        self.rows
-    }
-
-    fn boundaries(&self, k: usize) -> BackendResult<Vec<Datum>> {
-        let t = self.table_reply(
-            "SplitBoundaries",
-            &Request::SplitBoundaries {
-                id: self.id,
-                k: k as u32,
-            },
-        )?;
-        Ok(keys_from_table(&t))
-    }
-
-    fn summaries(&self, grid: &[Datum]) -> BackendResult<Vec<IntervalSummary>> {
-        let t = self.table_reply(
-            "SplitSummaries",
-            &Request::SplitSummaries {
-                id: self.id,
-                grid: keys_to_table(grid),
-            },
-        )?;
-        summaries_from_table(&t).ok_or_else(|| {
-            EngineError::Other(format!(
-                "shard server at {}: malformed split summaries",
-                self.conn.addr
-            ))
-        })
-    }
-
-    fn summaries_delta(
-        &self,
-        grid: &[Datum],
-        changed: &[usize],
-    ) -> BackendResult<Vec<IntervalSummary>> {
-        // The delta frame: full grid (cheap — keys only), but summaries
-        // come back solely for the `changed` intervals; the coordinator
-        // reconstructs the rest from its cache, bit-identically.
-        let t = self.table_reply(
-            "SplitSummariesDelta",
-            &Request::SplitSummariesDelta {
-                id: self.id,
-                grid: keys_to_table(grid),
-                changed: changed.iter().map(|&j| j as u32).collect(),
-            },
-        )?;
-        summaries_from_table(&t).ok_or_else(|| {
-            EngineError::Other(format!(
-                "shard server at {}: malformed split delta summaries",
-                self.conn.addr
-            ))
-        })
-    }
-
-    fn refine(&self, grid: &[Datum], targets: &[(usize, usize)]) -> BackendResult<Vec<Datum>> {
-        let t = self.table_reply(
-            "SplitRefine",
-            &Request::SplitRefine {
-                id: self.id,
-                grid: keys_to_table(grid),
-                targets: targets
-                    .iter()
-                    .map(|&(j, per)| (j as u32, per as u32))
-                    .collect(),
-            },
-        )?;
-        Ok(keys_from_table(&t))
-    }
-
-    fn fetch(&self, grid: &[Datum], retain: &[bool]) -> BackendResult<Table> {
-        self.table_reply(
-            "SplitFetch",
-            &Request::SplitFetch {
-                id: self.id,
-                grid: keys_to_table(grid),
-                retain: retain.to_vec(),
-            },
-        )
-    }
-
-    fn into_all_rows(self: Box<Self>) -> BackendResult<Table> {
-        // The dense fallback: one interval covering every key ships the
-        // whole absorbed result — exactly the cost the protocol avoids
-        // when it does apply. (Drop then releases the server-side state.)
-        let bounds = self.boundaries(2)?;
-        match bounds.last() {
-            None => self.fetch(&[], &[]),
-            Some(max) => {
-                let max = max.clone();
-                self.fetch(&[max], &[true])
-            }
-        }
-    }
-}
-
-impl Drop for RemoteSplitHandle<'_> {
-    fn drop(&mut self) {
-        // Best-effort release of the server-side state; a dead
-        // connection already dropped it with the session.
-        let _ = self.conn.call(&Request::SplitClose { id: self.id });
     }
 }
 

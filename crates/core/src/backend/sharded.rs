@@ -27,14 +27,11 @@
 //!    concatenating shard results in shard order.
 //! 3. **split queries** (window prefix sums + argmax over an absorbed
 //!    aggregate, the shape of [`crate::sqlgen::numeric_split_query`]) —
-//!    evaluated *shard-locally*: each shard keeps its per-value
-//!    aggregates, ships boundary keys and per-interval boundary prefix
-//!    sums, and only the intervals that can still contain the global
-//!    argmax (by convexity bounds on the criteria) ship their rows. The
-//!    coordinator assembles a run-compressed table whose window/argmax
-//!    evaluation is *identical* to the full merge — see `DESIGN.md`
-//!    § "Distributed split evaluation" — cutting the shuffle volume from
-//!    O(Σ feature cardinality) to O(shards · k) per split.
+//!    one SPJA query whose partial aggregates `⊕`-merge exactly
+//!    (Definition 1). They take the nested route of shape 4: the absorbed
+//!    per-value aggregate fans out once per shard and merges by shape 1,
+//!    and the window and argmax layers run on the coordinator over the
+//!    merged table — one request per shard per split query.
 //! 4. **nested queries** (anything else with a `FROM`-subquery) — the
 //!    innermost subquery is resolved recursively (usually by shape 1),
 //!    materialized on the coordinator, and the outer layers run there.
@@ -51,16 +48,11 @@ use parking_lot::RwLock;
 use joinboost_engine::column::HKey;
 use joinboost_engine::table::ColumnMeta;
 use joinboost_engine::{Column, DataType, Database, Datum, EngineConfig, EngineError, Table};
-use joinboost_sql::ast::{BinaryOp, Expr, Query, SelectItem, Statement, TableRef, UnaryOp, Value};
+use joinboost_sql::ast::{Expr, Query, SelectItem, Statement, TableRef};
 use joinboost_sql::parse_statement;
 
-use crate::sqlgen::{split_pushdown_shape, SplitQueryShape};
-
 use super::remote::{RemoteConnection, RemoteOptions};
-use super::split::{
-    interval_delta_map, reconstruct_summaries, Acc, IntervalSummary, LocalSplitState, MergeSpec,
-    SplitHandle, SplitSpec,
-};
+use super::split::{SplitHandle, SplitSpec};
 use super::{BackendCapabilities, BackendResult, BackendStats, SqlBackend};
 
 /// One shard's engine as the fan-out sees it: the pluggable transport
@@ -68,9 +60,9 @@ use super::{BackendCapabilities, BackendResult, BackendStats, SqlBackend};
 ///
 /// In-process shards are bare [`Database`]s; remote shards are
 /// [`RemoteConnection`]s speaking the wire protocol to a separate engine
-/// process. The fan-out, `⊕`-merge and split-pushdown machinery only ever
-/// talks to this trait, so multi-*process* sharding runs the exact same
-/// protocol as in-process sharding — which is what lets
+/// process. The fan-out and `⊕`-merge machinery only ever talks to this
+/// trait, so multi-*process* sharding runs the exact same protocol as
+/// in-process sharding — which is what lets
 /// `backend_equivalence` assert bit-identical models across both.
 pub trait ShardTransport: Send + Sync {
     /// Execute one statement on this shard. Remote transports print it to
@@ -109,35 +101,15 @@ pub trait ShardTransport: Send + Sync {
         self.execute(&parse_statement(sql)?)
     }
 
-    /// Open a split-protocol handle over the absorbed per-value query:
-    /// the shard executes it and keeps the sorted, prefix-summed result
-    /// *local*, answering the protocol through [`SplitHandle`] — so a
-    /// remote transport ships boundary summaries and candidate rows, not
-    /// per-value aggregates. `k > 0` asks for the first `k` equal-count
-    /// boundary keys *in the open reply* (fused: over a remote transport
-    /// this folds the opening `boundaries` round trip into the open
-    /// frame). When this shard's data disqualifies the protocol (NULL
-    /// components), the executed result comes back as
-    /// [`SplitOpen::Dense`] so the caller's fallback pays no second
-    /// execution.
+    /// Kept only for the benchmark harness, which wraps it; the program
+    /// never calls it. Executes the statement.
     fn split_open(
         &self,
         stmt: &Statement,
-        spec: &SplitSpec,
-        k: usize,
+        _spec: &SplitSpec,
+        _k: usize,
     ) -> BackendResult<SplitOpen<'_>> {
-        Ok(
-            match LocalSplitState::build(self.execute(stmt)?, spec.clone()) {
-                Ok(s) => {
-                    let bounds = if k > 0 { s.boundaries(k)? } else { Vec::new() };
-                    SplitOpen::Protocol {
-                        handle: Box::new(s),
-                        bounds,
-                    }
-                }
-                Err(table) => SplitOpen::Dense(table),
-            },
-        )
+        Ok(SplitOpen::Dense(self.execute(stmt)?))
     }
 
     /// Shard-partial scores for a batch of predict keys against
@@ -160,43 +132,25 @@ pub trait ShardTransport: Send + Sync {
         (0, 0)
     }
 
-    /// `(bytes_sent, bytes_received)` attributable to split-protocol
-    /// frames only (a subset of [`ShardTransport::wire_bytes`]); zero
-    /// for in-process transports. This is what lets the coordinator
-    /// report *per-round* split wire volume rather than lifetime socket
-    /// totals.
+    /// Kept only for the benchmark harness, which forwards it; always
+    /// `(0, 0)`.
     fn split_wire_bytes(&self) -> (u64, u64) {
         (0, 0)
     }
 }
 
-/// What [`ShardTransport::split_open`] produced: the shard either serves
-/// the summary protocol, or hands back the absorbed result for the dense
-/// merge (its data disqualified the protocol).
+/// Kept only for the benchmark harness: the result type of
+/// [`ShardTransport::split_open`], which always answers `Dense`.
 pub enum SplitOpen<'a> {
-    /// The shard serves the summary protocol through this handle.
+    /// A split handle and its first boundary keys.
     Protocol {
-        /// Answers boundaries/summaries/refine/fetch for this shard.
+        /// The handle.
         handle: Box<dyn SplitHandle + 'a>,
-        /// First-round boundary keys prefetched in the open reply (empty
-        /// when the open asked for none) — the fused frame that saves
-        /// the opening round trip per (shard, split query).
+        /// Boundary keys.
         bounds: Vec<Datum>,
     },
-    /// Protocol inapplicable on this shard's data: the full absorbed
-    /// result, for the dense fallback.
+    /// The executed statement's result.
     Dense(Table),
-}
-
-impl SplitOpen<'_> {
-    /// The full absorbed result, whichever side this is (consumes the
-    /// handle; in-process a move, remote one fetch).
-    fn into_all_rows(self) -> BackendResult<Table> {
-        match self {
-            SplitOpen::Protocol { handle, .. } => handle.into_all_rows(),
-            SplitOpen::Dense(t) => Ok(t),
-        }
-    }
 }
 
 impl ShardTransport for Database {
@@ -255,38 +209,6 @@ impl ShardTransport for Database {
     }
 }
 
-/// Tuning knobs of the shard-local split evaluation (shape 3 of the
-/// module docs). The defaults favor high-cardinality features; tests
-/// lower `min_rows` to exercise the pushdown on small data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PushdownConfig {
-    /// Boundary candidates each shard publishes (the `k` of the
-    /// O(shards · k) shuffle bound). At least 2.
-    pub boundaries_per_shard: usize,
-    /// Below this many per-value rows (summed over shards) the summary
-    /// protocol would ship *more* than the rows themselves, so the split
-    /// falls back to a dense merge.
-    pub min_rows: usize,
-    /// Delta-encode refinement summaries (default on): after round 0
-    /// only freshly subdivided intervals cross the wire; intervals whose
-    /// bounds survived refinement are reconstructed from the
-    /// coordinator's cache, bit-identically (a summary is a pure
-    /// function of its interval's absolute row range). Off re-ships the
-    /// full summary table every round — the dense baseline the bench
-    /// compares against.
-    pub delta: bool,
-}
-
-impl Default for PushdownConfig {
-    fn default() -> Self {
-        PushdownConfig {
-            boundaries_per_shard: 16,
-            min_rows: 256,
-            delta: true,
-        }
-    }
-}
-
 /// N engine instances over a hash-partitioned fact relation, plus a
 /// coordinator engine holding every replicated table and running the
 /// non-distributable query layers.
@@ -305,27 +227,10 @@ pub struct ShardedBackend {
     sharded: RwLock<HashSet<String>>,
     column_swap: bool,
     tmp_counter: AtomicUsize,
-    /// `None` disables the shard-local split evaluation (every split query
-    /// then takes the dense nested-merge path).
-    pushdown: RwLock<Option<PushdownConfig>>,
     fanout_selects: AtomicU64,
     broadcast_statements: AtomicU64,
     replicated_statements: AtomicU64,
     coordinator_selects: AtomicU64,
-    pushdown_splits: AtomicU64,
-    /// Summary rounds executed across all pushdown splits (the
-    /// denominator of per-round wire volume). Dense split execution
-    /// (pushdown off) counts each split query as one ship-everything
-    /// round, so dense and delta per-round volumes compare directly.
-    split_rounds: AtomicU64,
-    /// Wire bytes of *dense* split execution (pushdown off): the nested
-    /// fan-out-merge traffic of split-shaped queries, metered by
-    /// before/after snapshots of the shard sockets. Exact when split
-    /// queries run serially (the trainer's default); under inter-query
-    /// parallelism concurrent traffic may be co-attributed.
-    dense_split_sent: AtomicU64,
-    /// See `dense_split_sent`.
-    dense_split_received: AtomicU64,
     rows_shuffled: AtomicU64,
     skew_warnings: AtomicU64,
 }
@@ -355,9 +260,9 @@ impl ShardedBackend {
 
     /// Multi-*process* sharding: one remote shard server per address (the
     /// `shard_server` binary or [`super::WireServer`]), a local
-    /// coordinator engine with the given configuration. The fan-out,
-    /// merge and split-pushdown protocol is the one the in-process
-    /// backend runs — only the transport differs.
+    /// coordinator engine with the given configuration. The fan-out and
+    /// merge are the ones the in-process backend runs — only the
+    /// transport differs.
     pub fn remote<A>(
         addrs: &[A],
         config: EngineConfig,
@@ -412,15 +317,10 @@ impl ShardedBackend {
             sharded: RwLock::new(HashSet::new()),
             column_swap: config.allow_swap,
             tmp_counter: AtomicUsize::new(0),
-            pushdown: RwLock::new(Some(PushdownConfig::default())),
             fanout_selects: AtomicU64::new(0),
             broadcast_statements: AtomicU64::new(0),
             replicated_statements: AtomicU64::new(0),
             coordinator_selects: AtomicU64::new(0),
-            pushdown_splits: AtomicU64::new(0),
-            split_rounds: AtomicU64::new(0),
-            dense_split_sent: AtomicU64::new(0),
-            dense_split_received: AtomicU64::new(0),
             rows_shuffled: AtomicU64::new(0),
             skew_warnings: AtomicU64::new(0),
         }
@@ -445,35 +345,6 @@ impl ShardedBackend {
     /// replicated?
     pub fn is_sharded(&self, name: &str) -> bool {
         self.sharded.read().contains(&name.to_ascii_lowercase())
-    }
-
-    /// Enable or disable the shard-local split evaluation (keeps the
-    /// current [`PushdownConfig`] when toggled back on).
-    pub fn set_pushdown(&self, enabled: bool) {
-        let mut pd = self.pushdown.write();
-        if enabled {
-            if pd.is_none() {
-                *pd = Some(PushdownConfig::default());
-            }
-        } else {
-            *pd = None;
-        }
-    }
-
-    /// Replace the pushdown tuning knobs (also re-enables the pushdown).
-    pub fn set_pushdown_config(&self, cfg: PushdownConfig) {
-        *self.pushdown.write() = Some(cfg);
-    }
-
-    /// Toggle delta-encoded refinement summaries (see
-    /// [`PushdownConfig::delta`]; default on). Off restores the
-    /// serial-dense wire behavior — every round re-ships full summary
-    /// tables — which is the baseline the bench compares against. Either
-    /// way the merged result is bit-identical.
-    pub fn set_split_delta(&self, enabled: bool) {
-        if let Some(cfg) = self.pushdown.write().as_mut() {
-            cfg.delta = enabled;
-        }
     }
 
     /// Rows of the fact relation held by each shard, in shard order —
@@ -602,42 +473,12 @@ impl ShardedBackend {
         if is_plain_scan(q) {
             return self.gather(q);
         }
-        // Split queries evaluate shard-locally: ship summaries and top-k
-        // candidate rows, not the full per-value aggregates.
-        let pushdown = *self.pushdown.read();
-        if let Some((shape, inner)) = split_pushdown_shape(q) {
-            if let Some(cfg) = pushdown {
-                if let Some(plan) = distributable_merge_plan(inner) {
-                    return self.pushdown_split(q, &shape, plan, cfg);
-                }
-            }
-            // Dense split execution (pushdown off): the nested route
-            // below ships every shard's full absorbed table. Metered as
-            // one ship-everything round so dense and delta split wire
-            // volume compare per round.
-            let (s0, r0) = self.shard_wire_totals();
-            let result = self.exec_nested(q);
-            let (s1, r1) = self.shard_wire_totals();
-            self.split_rounds.fetch_add(1, Ordering::Relaxed);
-            self.dense_split_sent
-                .fetch_add(s1.saturating_sub(s0), Ordering::Relaxed);
-            self.dense_split_received
-                .fetch_add(r1.saturating_sub(r0), Ordering::Relaxed);
-            return result;
-        }
         self.exec_nested(q)
     }
 
-    /// Total `(sent, received)` socket bytes across the shard transports.
-    fn shard_wire_totals(&self) -> (u64, u64) {
-        self.shards.iter().fold((0, 0), |(s, r), t| {
-            let (ts, tr) = t.wire_bytes();
-            (s + ts, r + tr)
-        })
-    }
-
-    /// Nested query: resolve the FROM-subquery recursively, materialize
-    /// the merged result on the coordinator, run the outer layers there.
+    /// Nested query (split queries included): resolve the FROM-subquery
+    /// recursively, materialize the merged result on the coordinator, run
+    /// the outer layers there.
     fn exec_nested(&self, q: &Query) -> BackendResult {
         if let Some(TableRef::Subquery { query, alias }) = &q.from {
             let inner = self.exec_select(query)?;
@@ -698,145 +539,6 @@ impl ShardedBackend {
         self.rows_shuffled
             .fetch_add(shuffled as u64, Ordering::Relaxed);
         concat_tables(partials)
-    }
-
-    /// Dense split-query resolution: every shard ships its full absorbed
-    /// result and the coordinator ⊕-merges — the path the pushdown
-    /// exists to avoid, kept for shapes and data the summary protocol
-    /// cannot serve.
-    fn dense_split_merge(&self, stmt: &Statement, plan: &MergePlan) -> BackendResult {
-        let mut locals = Vec::with_capacity(self.shards.len());
-        for r in self.on_all_shards(|_, db| db.execute(stmt)) {
-            locals.push(r?);
-        }
-        let total: usize = locals.iter().map(Table::num_rows).sum();
-        self.rows_shuffled
-            .fetch_add(total as u64, Ordering::Relaxed);
-        merge_partials(locals, &plan.specs)
-    }
-
-    /// Execute the absorbed query and open the split protocol on every
-    /// shard, in parallel. Shards whose data disqualifies the protocol
-    /// come back as [`SplitOpen::Dense`] with their executed result.
-    fn open_splits<'a>(
-        &'a self,
-        stmt: &Statement,
-        spec: &SplitSpec,
-        k: usize,
-    ) -> BackendResult<Vec<SplitOpen<'a>>> {
-        let results: Vec<BackendResult<SplitOpen<'a>>> = if self.shards.len() == 1 {
-            vec![self.shards[0].split_open(stmt, spec, k)]
-        } else {
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .map(|db| scope.spawn(move |_| db.split_open(stmt, spec, k)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            })
-            .expect("shard scope")
-        };
-        results.into_iter().collect()
-    }
-
-    /// Shape 3: shard-local split evaluation. The absorbed inner query
-    /// runs on every shard and *stays there* (behind a [`SplitHandle`]);
-    /// only boundary keys, per-interval boundary prefix sums and the
-    /// candidate intervals' rows ship to the coordinator — over a remote
-    /// transport these are the only bytes on the wire. The coordinator
-    /// assembles a run-compressed per-value table and runs the original
-    /// window/argmax layers on it. The compressed evaluation is identical
-    /// to the dense merge (see `DESIGN.md` § "Distributed split
-    /// evaluation"), so results — and, under the dyadic recipe, bits —
-    /// match the single-engine path.
-    fn pushdown_split(
-        &self,
-        q: &Query,
-        shape: &SplitQueryShape,
-        plan: MergePlan,
-        cfg: PushdownConfig,
-    ) -> BackendResult {
-        self.fanout_selects.fetch_add(1, Ordering::Relaxed);
-        let stmt = Statement::Select(plan.query.clone());
-        let merged = 'merged: {
-            // Plan-level roles: without them (multiple keys, components
-            // not ⊕-sums, a val the key cannot order) the summary
-            // protocol does not apply and no handles are opened.
-            let Some(spec) = split_spec_for(&plan, shape) else {
-                break 'merged self.dense_split_merge(&stmt, &plan)?;
-            };
-            // The open is fused with the first boundaries round: each
-            // shard's opening reply already carries its k equal-count
-            // boundary keys, one less round trip per (shard, split
-            // query) over a remote transport.
-            let opens = self.open_splits(&stmt, &spec, cfg.boundaries_per_shard.max(2))?;
-            let any_dense = opens.iter().any(|o| matches!(o, SplitOpen::Dense(_)));
-            let total: usize = opens
-                .iter()
-                .map(|o| match o {
-                    SplitOpen::Protocol { handle, .. } => handle.num_rows(),
-                    SplitOpen::Dense(t) => t.num_rows(),
-                })
-                .sum();
-            if any_dense || total == 0 || total < cfg.min_rows {
-                // A shard disqualified the protocol (NULL components), or
-                // the result sits below the protocol's break-even point
-                // (the summaries would outweigh the rows). Dense merge,
-                // reusing every shard's already-executed result.
-                self.rows_shuffled
-                    .fetch_add(total as u64, Ordering::Relaxed);
-                let mut locals = Vec::with_capacity(opens.len());
-                for o in opens {
-                    locals.push(o.into_all_rows()?);
-                }
-                break 'merged merge_partials(locals, &plan.specs)?;
-            }
-            let mut handles: Vec<Box<dyn SplitHandle + '_>> = Vec::with_capacity(opens.len());
-            let mut prefetched: Vec<Vec<Datum>> = Vec::with_capacity(opens.len());
-            for o in opens {
-                match o {
-                    SplitOpen::Protocol { handle, bounds } => {
-                        handles.push(handle);
-                        prefetched.push(bounds);
-                    }
-                    SplitOpen::Dense(_) => unreachable!("any_dense checked above"),
-                }
-            }
-            let (table, shipped, rounds) =
-                shard_split_protocol(&handles, prefetched, &plan, shape, cfg)?;
-            self.pushdown_splits.fetch_add(1, Ordering::Relaxed);
-            self.split_rounds
-                .fetch_add(rounds as u64, Ordering::Relaxed);
-            self.rows_shuffled
-                .fetch_add(shipped as u64, Ordering::Relaxed);
-            table
-        };
-        // Window + argmax layers run on the coordinator over the merged
-        // (possibly run-compressed) per-value table.
-        let tmp = format!(
-            "jb_shard_push_{}",
-            self.tmp_counter.fetch_add(1, Ordering::Relaxed)
-        );
-        self.coordinator.create_table(&tmp, merged)?;
-        let mut outer = q.clone();
-        if let Some(TableRef::Subquery { query: middle, .. }) = &mut outer.from {
-            if let Some(TableRef::Subquery { alias, .. }) = &middle.from {
-                middle.from = Some(TableRef::Named {
-                    name: tmp.clone(),
-                    alias: alias.clone(),
-                });
-            }
-        }
-        self.coordinator_selects.fetch_add(1, Ordering::Relaxed);
-        let result = self
-            .coordinator
-            .execute_statement(&Statement::Select(outer));
-        let _ = self.coordinator.drop_table(&tmp);
-        result
     }
 
     /// Hash of the shard-key datum: FNV-1a over a type-tagged byte
@@ -1196,19 +898,11 @@ impl SqlBackend for ShardedBackend {
         let replicated_statements = self.replicated_statements.load(Ordering::Relaxed);
         let coordinator_selects = self.coordinator_selects.load(Ordering::Relaxed);
         let (mut bytes_sent, mut bytes_received) = (0u64, 0u64);
-        let (mut split_bytes_sent, mut split_bytes_received) = (0u64, 0u64);
         for t in &self.shards {
             let (s, r) = t.wire_bytes();
             bytes_sent += s;
             bytes_received += r;
-            let (ss, sr) = t.split_wire_bytes();
-            split_bytes_sent += ss;
-            split_bytes_received += sr;
         }
-        // Dense split execution meters its fan-out traffic separately
-        // (the transports attribute only protocol frames to split_*).
-        split_bytes_sent += self.dense_split_sent.load(Ordering::Relaxed);
-        split_bytes_received += self.dense_split_received.load(Ordering::Relaxed);
         BackendStats {
             statements: fanout_selects
                 + broadcast_statements
@@ -1219,14 +913,10 @@ impl SqlBackend for ShardedBackend {
             broadcast_statements,
             replicated_statements,
             coordinator_selects,
-            pushdown_splits: self.pushdown_splits.load(Ordering::Relaxed),
-            split_rounds: self.split_rounds.load(Ordering::Relaxed),
             rows_shipped: self.rows_shuffled.load(Ordering::Relaxed),
-            text_round_trips: 0,
             bytes_sent,
             bytes_received,
-            split_bytes_sent,
-            split_bytes_received,
+            ..BackendStats::default()
         }
     }
 }
@@ -1365,6 +1055,78 @@ fn contains_aggregate_or_window(e: &Expr) -> bool {
 // Merge execution
 // ---------------------------------------------------------------------------
 
+/// How one output column of a fanned-out aggregate merges across shards.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MergeSpec {
+    /// Group key: identifies the row, not merged.
+    Key,
+    /// Partial sums/counts add (`⊕` of the semi-ring).
+    Sum,
+    /// Partial minima take the least.
+    Min,
+    /// Partial maxima take the greatest.
+    Max,
+}
+
+/// Accumulator for one aggregate cell. Integer partials stay integers
+/// (exact counts); the first float partial promotes the accumulated total
+/// exactly (`i64 as f64` is exact for the count magnitudes here).
+#[derive(Debug, Clone)]
+enum Acc {
+    Empty,
+    Int(i64),
+    Float(f64),
+    Best(Datum),
+}
+
+impl Acc {
+    fn add(&mut self, v: &Datum) {
+        match v {
+            Datum::Null => {}
+            Datum::Int(x) => match self {
+                Acc::Empty => *self = Acc::Int(*x),
+                Acc::Int(t) => *t += *x,
+                Acc::Float(t) => *t += *x as f64,
+                Acc::Best(_) => unreachable!("sum into best"),
+            },
+            Datum::Float(x) => match self {
+                Acc::Empty => *self = Acc::Float(*x),
+                Acc::Int(t) => *self = Acc::Float(*t as f64 + *x),
+                Acc::Float(t) => *t += *x,
+                Acc::Best(_) => unreachable!("sum into best"),
+            },
+            Datum::Str(_) => {}
+        }
+    }
+
+    fn best(&mut self, v: &Datum, want_max: bool) {
+        if v.is_null() {
+            return;
+        }
+        match self {
+            Acc::Empty => *self = Acc::Best(v.clone()),
+            Acc::Best(cur) => {
+                let ord = v.sql_cmp(cur);
+                if (want_max && ord == std::cmp::Ordering::Greater)
+                    || (!want_max && ord == std::cmp::Ordering::Less)
+                {
+                    *cur = v.clone();
+                }
+            }
+            _ => unreachable!("best into sum"),
+        }
+    }
+
+    fn into_datum(self) -> Datum {
+        match self {
+            Acc::Empty => Datum::Null,
+            Acc::Int(v) => Datum::Int(v),
+            Acc::Float(v) => Datum::Float(v),
+            Acc::Best(d) => d,
+        }
+    }
+}
+
 /// `⊕`-merge per-shard partial aggregates. Groups are matched on the key
 /// columns; output rows are sorted by the keys so the merged table has a
 /// deterministic, backend-independent order.
@@ -1484,659 +1246,6 @@ fn concat_columns(cols: &[&Column]) -> Column {
         }
     }
     Column::from_datums(&vals)
-}
-
-// ---------------------------------------------------------------------------
-// Shard-local split evaluation
-// ---------------------------------------------------------------------------
-
-/// Numerical slack added to pruning bounds so floating-point rounding in
-/// either the bound or the engine's criteria arithmetic can never prune
-/// the true argmax (the bound is exact over the reals by convexity; a
-/// relative 1e-9 dwarfs the few-ulp discrepancy of either side).
-fn slack(v: f64) -> f64 {
-    1e-9 * v.abs().max(1.0)
-}
-
-/// Evaluate an expression over exactly two column variables (the split
-/// components). Returns `None` for any expression the split-criteria
-/// grammar does not produce — callers then skip pruning, never results.
-fn eval_two_col(e: &Expr, n0: &str, n1: &str, c: f64, s: f64) -> Option<f64> {
-    match e {
-        Expr::Column { table: None, name } => {
-            if name.eq_ignore_ascii_case(n0) {
-                Some(c)
-            } else if name.eq_ignore_ascii_case(n1) {
-                Some(s)
-            } else {
-                None
-            }
-        }
-        Expr::Literal(Value::Int(v)) => Some(*v as f64),
-        Expr::Literal(Value::Float(v)) => Some(*v),
-        Expr::Unary {
-            op: UnaryOp::Neg,
-            expr,
-        } => Some(-eval_two_col(expr, n0, n1, c, s)?),
-        Expr::Binary { op, left, right } => {
-            let l = eval_two_col(left, n0, n1, c, s)?;
-            let r = eval_two_col(right, n0, n1, c, s)?;
-            let b = |x: bool| if x { 1.0 } else { 0.0 };
-            Some(match op {
-                BinaryOp::Add => l + r,
-                BinaryOp::Sub => l - r,
-                BinaryOp::Mul => l * r,
-                BinaryOp::Div => l / r,
-                BinaryOp::Eq => b(l == r),
-                BinaryOp::Neq => b(l != r),
-                BinaryOp::Lt => b(l < r),
-                BinaryOp::LtEq => b(l <= r),
-                BinaryOp::Gt => b(l > r),
-                BinaryOp::GtEq => b(l >= r),
-                BinaryOp::And => b(l > 0.5 && r > 0.5),
-                BinaryOp::Or => b(l > 0.5 || r > 0.5),
-            })
-        }
-        _ => None,
-    }
-}
-
-/// Symbolic derivative of a criteria expression with respect to the
-/// column `wrt` (the second split component). Only the arithmetic grammar
-/// the criteria emitters produce is supported; anything else returns
-/// `None` and the caller falls back to the coarser box bound.
-fn d_wrt(e: &Expr, wrt: &str, other: &str) -> Option<Expr> {
-    match e {
-        Expr::Column { table: None, name } => {
-            if name.eq_ignore_ascii_case(wrt) {
-                Some(Expr::float(1.0))
-            } else if name.eq_ignore_ascii_case(other) {
-                Some(Expr::float(0.0))
-            } else {
-                None
-            }
-        }
-        Expr::Literal(_) => Some(Expr::float(0.0)),
-        Expr::Unary {
-            op: UnaryOp::Neg,
-            expr,
-        } => Some(Expr::neg(d_wrt(expr, wrt, other)?)),
-        Expr::Binary { op, left, right } => {
-            let dl = d_wrt(left, wrt, other)?;
-            let dr = d_wrt(right, wrt, other)?;
-            match op {
-                BinaryOp::Add => Some(Expr::add(dl, dr)),
-                BinaryOp::Sub => Some(Expr::sub(dl, dr)),
-                BinaryOp::Mul => Some(Expr::add(
-                    Expr::mul(dl, (**right).clone()),
-                    Expr::mul((**left).clone(), dr),
-                )),
-                BinaryOp::Div => Some(Expr::div(
-                    Expr::sub(
-                        Expr::mul(dl, (**right).clone()),
-                        Expr::mul((**left).clone(), dr),
-                    ),
-                    Expr::mul((**right).clone(), (**right).clone()),
-                )),
-                _ => None,
-            }
-        }
-        _ => None,
-    }
-}
-
-/// Interval-arithmetic evaluation of an expression over boxed column
-/// ranges. Division by an interval containing zero returns `None`
-/// (unbounded). The arithmetic is outward-correct up to f64 rounding —
-/// callers add [`slack`] on top, which dwarfs the ulp error.
-fn eval_interval(e: &Expr, n0: &str, n1: &str, c: (f64, f64), s: (f64, f64)) -> Option<(f64, f64)> {
-    let fin = |r: (f64, f64)| (r.0.is_finite() && r.1.is_finite()).then_some(r);
-    match e {
-        Expr::Column { table: None, name } => {
-            if name.eq_ignore_ascii_case(n0) {
-                Some(c)
-            } else if name.eq_ignore_ascii_case(n1) {
-                Some(s)
-            } else {
-                None
-            }
-        }
-        Expr::Literal(Value::Int(v)) => Some((*v as f64, *v as f64)),
-        Expr::Literal(Value::Float(v)) => Some((*v, *v)),
-        Expr::Unary {
-            op: UnaryOp::Neg,
-            expr,
-        } => {
-            let (lo, hi) = eval_interval(expr, n0, n1, c, s)?;
-            Some((-hi, -lo))
-        }
-        Expr::Binary { op, left, right } => {
-            let (l0, l1) = eval_interval(left, n0, n1, c, s)?;
-            let (r0, r1) = eval_interval(right, n0, n1, c, s)?;
-            match op {
-                BinaryOp::Add => fin((l0 + r0, l1 + r1)),
-                BinaryOp::Sub => fin((l0 - r1, l1 - r0)),
-                BinaryOp::Mul => {
-                    let p = [l0 * r0, l0 * r1, l1 * r0, l1 * r1];
-                    fin((
-                        p.iter().copied().fold(f64::INFINITY, f64::min),
-                        p.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-                    ))
-                }
-                BinaryOp::Div => {
-                    if r0 <= 0.0 && r1 >= 0.0 {
-                        return None;
-                    }
-                    let p = [l0 / r0, l0 / r1, l1 / r0, l1 / r1];
-                    fin((
-                        p.iter().copied().fold(f64::INFINITY, f64::min),
-                        p.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-                    ))
-                }
-                _ => None,
-            }
-        }
-        _ => None,
-    }
-}
-
-/// Extract the prefix-count range `[min_leaf, total − min_leaf]` from the
-/// guard [`crate::sqlgen`] emits (`n0 >= a AND total − n0 >= b`). Used to
-/// clip pruning boxes away from the `c = 0` / `c = total` poles where the
-/// criteria stops being convex. `None` leaves boxes unclipped (bounds
-/// stay sound — corners at the poles blow up and force retention).
-fn guard_c_range(guard: &Expr, n0: &str) -> Option<(f64, f64)> {
-    let lit = |e: &Expr| -> Option<f64> {
-        match e {
-            Expr::Literal(Value::Float(v)) => Some(*v),
-            Expr::Literal(Value::Int(v)) => Some(*v as f64),
-            _ => None,
-        }
-    };
-    let is_n0 =
-        |e: &Expr| matches!(e, Expr::Column { table: None, name } if name.eq_ignore_ascii_case(n0));
-    let Expr::Binary {
-        op: BinaryOp::And,
-        left,
-        right,
-    } = guard
-    else {
-        return None;
-    };
-    // left: n0 >= min_leaf
-    let Expr::Binary {
-        op: BinaryOp::GtEq,
-        left: ll,
-        right: lr,
-    } = left.as_ref()
-    else {
-        return None;
-    };
-    if !is_n0(ll) {
-        return None;
-    }
-    let lo = lit(lr)?;
-    // right: total − n0 >= min_leaf
-    let Expr::Binary {
-        op: BinaryOp::GtEq,
-        left: rl,
-        right: rr,
-    } = right.as_ref()
-    else {
-        return None;
-    };
-    let Expr::Binary {
-        op: BinaryOp::Sub,
-        left: tl,
-        right: tr,
-    } = rl.as_ref()
-    else {
-        return None;
-    };
-    if !is_n0(tr) {
-        return None;
-    }
-    Some((lo, lit(tl)? - lit(rr)?))
-}
-
-/// Is the merged `val` guaranteed to be ordered like the group key? True
-/// trivially when `val` *is* the key, and for the histogram shape
-/// `GROUP BY FLOOR((f − lo) / w)` with `MAX(f)` selected and `w > 0`:
-/// bins partition the value axis into disjoint, ordered ranges, so their
-/// maxima are ordered like the bin ids — on every shard and after any
-/// cross-shard `MAX` merge.
-fn binned_val_monotone(group: &Expr, val: &Expr) -> bool {
-    let Expr::Func {
-        name: gname,
-        args: gargs,
-    } = group
-    else {
-        return false;
-    };
-    if !gname.eq_ignore_ascii_case("FLOOR") || gargs.len() != 1 {
-        return false;
-    }
-    let Expr::Binary {
-        op: BinaryOp::Div,
-        left: num,
-        right: den,
-    } = &gargs[0]
-    else {
-        return false;
-    };
-    let positive = |e: &Expr| -> bool {
-        matches!(e, Expr::Literal(Value::Float(v)) if *v > 0.0)
-            || matches!(e, Expr::Literal(Value::Int(v)) if *v > 0)
-    };
-    if !positive(den) {
-        return false;
-    }
-    // The binned feature expression: `f − lo` or bare `f`.
-    let feature = match num.as_ref() {
-        Expr::Binary {
-            op: BinaryOp::Sub,
-            left: f,
-            right: lo,
-        } if matches!(lo.as_ref(), Expr::Literal(_)) => f.as_ref(),
-        other => other,
-    };
-    let Expr::Func {
-        name: vname,
-        args: vargs,
-    } = val
-    else {
-        return false;
-    };
-    vname.eq_ignore_ascii_case("MAX") && vargs.len() == 1 && vargs[0] == *feature
-}
-
-/// Plan-level column roles of the split protocol: the single group key,
-/// the two ⊕-summed split components, and how every output column
-/// merges. `None` when the summary protocol cannot order the result
-/// (multiple group keys, components that are not sums, or a `val` whose
-/// order the key does not determine) — the caller then takes the dense
-/// path without opening handles.
-fn split_spec_for(plan: &MergePlan, shape: &SplitQueryShape) -> Option<SplitSpec> {
-    let key_cols: Vec<usize> = plan
-        .specs
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| **s == MergeSpec::Key)
-        .map(|(i, _)| i)
-        .collect();
-    let [key_col] = key_cols.as_slice() else {
-        return None;
-    };
-    let key_col = *key_col;
-    let out_name = |item: &SelectItem| -> Option<String> {
-        item.alias.clone().or(match &item.expr {
-            Expr::Column { name, .. } => Some(name.clone()),
-            _ => None,
-        })
-    };
-    let col_of = |name: &str| -> Option<usize> {
-        plan.query
-            .items
-            .iter()
-            .position(|it| out_name(it).is_some_and(|n| n.eq_ignore_ascii_case(name)))
-    };
-    let val_col = col_of(&shape.val)?;
-    let c0_col = col_of(&shape.components[0])?;
-    let c1_col = col_of(&shape.components[1])?;
-    if plan.specs[c0_col] != MergeSpec::Sum || plan.specs[c1_col] != MergeSpec::Sum {
-        return None;
-    }
-    // When val is not itself the key, the key must still order like val
-    // (the histogram-bin shape); otherwise prefix runs would be built in
-    // the wrong order.
-    if val_col != key_col
-        && !(plan.query.group_by.len() == 1
-            && binned_val_monotone(&plan.query.group_by[0], &plan.query.items[val_col].expr))
-    {
-        return None;
-    }
-    Some(SplitSpec {
-        key_col,
-        c0_col,
-        c1_col,
-        specs: plan.specs.clone(),
-    })
-}
-
-/// Ask every shard handle the same protocol question, in parallel.
-/// Results come back in shard order; the first shard error wins.
-fn on_all_handles<'h, T, F>(handles: &[Box<dyn SplitHandle + 'h>], f: F) -> BackendResult<Vec<T>>
-where
-    T: Send,
-    F: Fn(&dyn SplitHandle) -> BackendResult<T> + Sync,
-{
-    if handles.len() == 1 {
-        return Ok(vec![f(handles[0].as_ref())?]);
-    }
-    let fr = &f;
-    let results: Vec<BackendResult<T>> = crossbeam::thread::scope(|scope| {
-        let spawned: Vec<_> = handles
-            .iter()
-            .map(|h| scope.spawn(move |_| fr(h.as_ref())))
-            .collect();
-        spawned
-            .into_iter()
-            .map(|h| h.join().expect("split worker panicked"))
-            .collect()
-    })
-    .expect("split scope");
-    results.into_iter().collect()
-}
-
-/// The coordinator half of the shard-local split protocol: boundary
-/// keys → global interval grid → per-interval boundary prefix-sum
-/// summaries → convexity bounds → candidate fetch → run-compressed
-/// merged table. Every shard interaction goes through [`SplitHandle`],
-/// so over a remote transport only these messages cross the wire.
-///
-/// Exactness: replacing a contiguous run of per-value rows `(v_a, v_b]`
-/// by one row `(val(v_b), Σc, Σs)` leaves every *prefix sum* at `v_b` and
-/// beyond unchanged, so the engine's window/argmax evaluation over the
-/// compressed table computes exactly what it computes at the retained
-/// rows of the dense table. The bounds only decide which interior rows
-/// are retained; every boundary row is always present, and any interval
-/// that could still hold the argmax (criteria upper bound ≥ best
-/// boundary candidate, by convexity of both split criteria in the two
-/// prefix components) ships its rows in full. See `DESIGN.md`
-/// § "Distributed split evaluation" for the full argument.
-fn shard_split_protocol(
-    handles: &[Box<dyn SplitHandle + '_>],
-    prefetched: Vec<Vec<Datum>>,
-    plan: &MergePlan,
-    shape: &SplitQueryShape,
-    cfg: PushdownConfig,
-) -> BackendResult<(Table, usize, usize)> {
-    let total: usize = handles.iter().map(|h| h.num_rows()).sum();
-    let mut shipped = 0usize;
-    // Initial grid: each shard published k equal-count boundary keys in
-    // its (fused) open reply — its last key always included, so the grid
-    // covers every row.
-    let k = cfg.boundaries_per_shard.max(2);
-    let sort_dedup = |grid: &mut Vec<Datum>| {
-        grid.sort_by(|a, b| a.sql_cmp(b));
-        grid.dedup_by(|a, b| a.sql_cmp(b) == std::cmp::Ordering::Equal);
-    };
-    let mut grid: Vec<Datum> = Vec::new();
-    for keys in prefetched {
-        shipped += keys.len();
-        grid.extend(keys);
-    }
-    sort_dedup(&mut grid);
-    // The shards' equal-count boundaries cluster around the same global
-    // quantiles, which would alternate tiny and huge intervals and pay
-    // shards·|grid| summaries for no extra precision; the coordinator
-    // coarsens the union back to ~k points (keeping the global maximum,
-    // which covers every row) and lets refinement re-split only where the
-    // criteria bounds demand it.
-    if grid.len() > k {
-        let stride = grid.len().div_ceil(k);
-        let last = grid.last().cloned();
-        let mut coarse: Vec<Datum> = grid
-            .iter()
-            .skip(stride - 1)
-            .step_by(stride)
-            .cloned()
-            .collect();
-        if let Some(last) = last {
-            if coarse
-                .last()
-                .is_none_or(|d| d.sql_cmp(&last) != std::cmp::Ordering::Equal)
-            {
-                coarse.push(last);
-            }
-        }
-        grid = coarse;
-    }
-
-    let [n0, n1] = &shape.components;
-    let clip = shape.guard.as_ref().and_then(|g| guard_c_range(g, n0));
-    let d_expr = d_wrt(&shape.criteria, n1, n0);
-
-    // Refinement loop: summarize the grid intervals, bound the criteria
-    // over each, and subdivide the survivors — candidate volume shrinks
-    // geometrically, so a handful of summary rounds replaces shipping
-    // whole buckets around a flat criteria peak.
-    let mut retain: Vec<bool> = Vec::new();
-    let debug = std::env::var("JB_PUSHDOWN_DEBUG").is_ok();
-    let mut rounds = 0usize;
-    // Delta cache: the previous round's grid and per-shard summaries.
-    // Valid because a summary is a pure function of its interval's
-    // absolute row range — an interval whose (lower, upper) bounds both
-    // survived refinement covers the same rows and summarizes
-    // bit-identically, so only subdivided intervals need the wire.
-    let mut prev_grid: Vec<Datum> = Vec::new();
-    let mut prev: Vec<Vec<IntervalSummary>> = Vec::new();
-    for round in 0usize..5 {
-        let m = grid.len();
-        // One summary row per (shard, interval): exact interval ⊕-sums
-        // (f64 view), the range each shard's local prefix covers inside
-        // the interval, and the shard's chord-deviation bound (how far
-        // its prefix staircase strays from the straight line between its
-        // interval endpoints — the term that makes the tight bound
-        // O(width²) on smooth data). Later rounds only re-ship the
-        // freshly subdivided intervals (charged at refinement time).
-        let deltas: Vec<Vec<IntervalSummary>> = if cfg.delta && !prev.is_empty() {
-            let map = interval_delta_map(&prev_grid, &grid);
-            let changed: Vec<usize> = map
-                .iter()
-                .enumerate()
-                .filter_map(|(j, o)| o.is_none().then_some(j))
-                .collect();
-            let fresh = on_all_handles(handles, |h| h.summaries_delta(&grid, &changed))?;
-            let mut full = Vec::with_capacity(fresh.len());
-            for (old, new) in prev.iter().zip(fresh) {
-                full.push(reconstruct_summaries(old, &map, &new).ok_or_else(|| {
-                    EngineError::Other("split delta summaries do not match the grid".into())
-                })?);
-            }
-            full
-        } else {
-            on_all_handles(handles, |h| h.summaries(&grid))?
-        };
-        rounds += 1;
-        for row in &deltas {
-            if row.len() != m {
-                return Err(EngineError::Other(
-                    "split summaries do not match the grid".into(),
-                ));
-            }
-        }
-        if cfg.delta {
-            prev_grid.clone_from(&grid);
-            prev.clone_from(&deltas);
-        }
-        let mut cum0 = vec![0.0f64; m];
-        let mut cum1 = vec![0.0f64; m];
-        let mut lo0 = vec![0.0f64; m];
-        let mut hi0 = vec![0.0f64; m];
-        let mut lo1 = vec![0.0f64; m];
-        let mut hi1 = vec![0.0f64; m];
-        for row in &deltas {
-            for (j, d) in row.iter().enumerate() {
-                cum0[j] += d.dc;
-                cum1[j] += d.ds;
-                lo0[j] += d.min0;
-                hi0[j] += d.max0;
-                lo1[j] += d.min1;
-                hi1[j] += d.max1;
-            }
-        }
-        if round == 0 {
-            shipped += handles.len() * m;
-        }
-        // Exact global prefix sums at every grid boundary (cumulative).
-        for j in 1..m {
-            cum0[j] += cum0[j - 1];
-            cum1[j] += cum1[j - 1];
-        }
-
-        // Best boundary candidate (lower bound for pruning): boundary
-        // rows are always retained in the output, so the bound only has
-        // to beat *interior* rows of pruned intervals.
-        let mut best_lb = f64::NEG_INFINITY;
-        for j in 0..m {
-            let (c, s) = (cum0[j], cum1[j]);
-            if let Some(g) = &shape.guard {
-                match eval_two_col(g, n0, n1, c, s) {
-                    Some(v) if v > 0.5 => {}
-                    _ => continue,
-                }
-            }
-            if let Some(v) = eval_two_col(&shape.criteria, n0, n1, c, s) {
-                if v.is_finite() {
-                    best_lb = best_lb.max(v - slack(v));
-                }
-            }
-        }
-
-        // Retention: an interval survives if the criteria's upper bound
-        // over its reachable prefix set can still reach the best boundary
-        // candidate. Two sound bounds are combined:
-        //
-        // * **box bound** — max over the corners of the prefix box (valid
-        //   by convexity of both split criteria in the prefix
-        //   components); overshoot is linear in the interval width;
-        // * **chord bound** — exact criteria at the interval's chord
-        //   endpoints plus `L_s · deviation`: any reachable point sits at
-        //   vertical distance ≤ Σᵢ(maxdevᵢ + |ρᵢ−ρ|·max|Δcᵢ|) from the
-        //   chord (triangle inequality over the per-shard staircases),
-        //   and the criteria's s-slope over the box is bounded by
-        //   interval arithmetic on its symbolic derivative. On smooth
-        //   data the deviation is O(width²), which is what lets the
-        //   pushdown prune aggressively near flat peaks.
-        retain = (0..m)
-            .map(|j| {
-                let (mut clo, mut chi) = (lo0[j], hi0[j]);
-                if let Some((glo, ghi)) = clip {
-                    // Rows with a prefix count outside the guard range
-                    // cannot win; clipping also steps off the convexity
-                    // poles.
-                    clo = clo.max(glo);
-                    chi = chi.min(ghi);
-                    if clo > chi {
-                        return false;
-                    }
-                }
-                let mut ub = f64::INFINITY;
-                let mut box_ub = f64::NEG_INFINITY;
-                let mut box_ok = true;
-                for &c in &[clo, chi] {
-                    for &s in &[lo1[j], hi1[j]] {
-                        match eval_two_col(&shape.criteria, n0, n1, c, s) {
-                            Some(v) if !v.is_nan() => box_ub = box_ub.max(v),
-                            _ => box_ok = false,
-                        }
-                    }
-                }
-                if box_ok {
-                    ub = box_ub;
-                }
-                let (c_start, s_start) = if j == 0 {
-                    (0.0, 0.0)
-                } else {
-                    (cum0[j - 1], cum1[j - 1])
-                };
-                let dcg = cum0[j] - c_start;
-                if let Some(dx) = &d_expr {
-                    if dcg != 0.0 {
-                        let rho = (cum1[j] - s_start) / dcg;
-                        let mut dev = 0.0f64;
-                        for row in &deltas {
-                            let d = &row[j];
-                            let rho_i = if d.dc != 0.0 { d.ds / d.dc } else { 0.0 };
-                            dev += d.maxdev + (rho_i - rho).abs() * d.maxabsdc;
-                        }
-                        // Chord restricted to the (clipped) reachable
-                        // c-range; max over a segment of a convex
-                        // function is at the endpoints.
-                        let chord = |c: f64| {
-                            eval_two_col(&shape.criteria, n0, n1, c, s_start + rho * (c - c_start))
-                        };
-                        let s_ext = (
-                            lo1[j]
-                                .min(s_start + rho * (clo - c_start))
-                                .min(s_start + rho * (chi - c_start)),
-                            hi1[j]
-                                .max(s_start + rho * (clo - c_start))
-                                .max(s_start + rho * (chi - c_start)),
-                        );
-                        if let (Some(e1), Some(e2), Some((dlo, dhi))) = (
-                            chord(clo),
-                            chord(chi),
-                            eval_interval(dx, n0, n1, (clo, chi), s_ext),
-                        ) {
-                            let tight = e1.max(e2) + dlo.abs().max(dhi.abs()) * dev;
-                            if !tight.is_nan() {
-                                ub = ub.min(tight);
-                            }
-                        }
-                    }
-                }
-                if ub == f64::INFINITY {
-                    return true; // no usable bound: keep the rows
-                }
-                ub + slack(ub) >= best_lb
-            })
-            .collect();
-
-        let interval_rows =
-            |j: usize| -> usize { deltas.iter().map(|row| row[j].rows as usize).sum::<usize>() };
-        let retained_rows: usize = (0..m).filter(|&j| retain[j]).map(interval_rows).sum();
-        let retained_count = retain.iter().filter(|&&r| r).count();
-        if debug {
-            eprintln!(
-                "pushdown round {round}: {m} intervals, {retained_count} retained \
-                 ({retained_rows} rows), shipped so far {shipped}"
-            );
-        }
-        // Stop refining once the candidate set is small, the round budget
-        // is spent, or another summary round could no longer undercut
-        // what shipping the remaining candidates outright costs.
-        if round == 4
-            || retained_rows <= (2 * k * handles.len()).max(64)
-            || shipped + retained_rows >= total
-        {
-            break;
-        }
-        // Subdivide the survivors: spend a ~2k-key budget proportionally
-        // to each surviving interval's row mass (each shard publishes
-        // equal-count sub-boundaries inside its slice of the interval).
-        let budget = 2 * k;
-        let mut targets: Vec<(usize, usize)> = Vec::new();
-        for (j, &keep) in retain.iter().enumerate() {
-            if !keep || retained_rows == 0 {
-                continue;
-            }
-            let quota = (budget * interval_rows(j)).div_ceil(retained_rows).max(1);
-            targets.push((j, quota.div_ceil(handles.len()).max(1)));
-        }
-        let mut added: Vec<Datum> = Vec::new();
-        for keys in on_all_handles(handles, |h| h.refine(&grid, &targets))? {
-            added.extend(keys);
-        }
-        sort_dedup(&mut added);
-        if added.is_empty() {
-            break;
-        }
-        // New boundary keys plus re-summaries of the subdivided ranges.
-        shipped += added.len() + handles.len() * (retained_count + added.len());
-        grid.extend(added);
-        sort_dedup(&mut grid);
-    }
-
-    // Assemble: every shard ships its retained intervals' rows in full
-    // plus one compressed partial per non-empty pruned interval; the
-    // ⊕-merge matches partials on the (unique) keys, so the merged table
-    // is exactly the run-compressed table of the in-process protocol.
-    let fetches = on_all_handles(handles, |h| h.fetch(&grid, &retain))?;
-    shipped += fetches.iter().map(Table::num_rows).sum::<usize>();
-    let merged = merge_partials(fetches, &plan.specs)?;
-    Ok((merged, shipped, rounds))
 }
 
 // ---------------------------------------------------------------------------
@@ -2444,75 +1553,6 @@ mod tests {
                 |t: &Table| -> Vec<String> { t.meta.iter().map(|m| m.name.clone()).collect() };
             assert_eq!(names(&got), names(&expected));
         }
-    }
-
-    #[test]
-    fn split_query_pushdown_matches_dense_merge_and_ships_less() {
-        // A high-cardinality numeric split query: the pushdown must give
-        // the same (bit-level) winner while shipping far fewer rows.
-        let rows = 20_000usize;
-        let card = 2_500i64;
-        let make = |shards: usize| {
-            let b = ShardedBackend::new(shards, EngineConfig::duckdb_mem(), "fact", "k");
-            b.create_table(
-                "fact",
-                Table::from_columns(vec![
-                    ("k", Column::int((0..rows as i64).collect())),
-                    (
-                        "f",
-                        Column::int((0..rows).map(|i| (i as i64 * 7919) % card).collect()),
-                    ),
-                    (
-                        // The target follows the feature (dyadic 1/8 grid,
-                        // so both merge orders are exact): the criterion
-                        // then has a real peak and pruning can bite.
-                        "y",
-                        Column::float(
-                            (0..rows)
-                                .map(|i| (((i as i64 * 7919) % card) as f64) / 8.0)
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            )
-            .unwrap();
-            b
-        };
-        let absorbed = joinboost_sql::parse_query(
-            "SELECT f AS val, COUNT(*) AS c, SUM(y) AS s FROM fact WHERE f IS NOT NULL GROUP BY f",
-        )
-        .unwrap();
-        let totals = {
-            let b = make(1);
-            let t = b
-                .query("SELECT COUNT(*) AS c, SUM(y) AS s FROM fact")
-                .unwrap();
-            crate::sqlgen::NodeTotals {
-                c0: t.scalar_f64("c").unwrap(),
-                c1: t.scalar_f64("s").unwrap(),
-            }
-        };
-        let q = crate::sqlgen::numeric_split_query(
-            absorbed,
-            crate::sqlgen::RingKind::Variance,
-            totals,
-            0.0,
-            1.0,
-        )
-        .to_string();
-        let dense = make(4);
-        dense.set_pushdown(false);
-        let expected = dense.query(&q).unwrap();
-        let dense_rows = dense.stats().rows_shipped;
-        let pushed = make(4);
-        let got = pushed.query(&q).unwrap();
-        let pushed_rows = pushed.stats().rows_shipped;
-        assert_eq!(got, expected, "pushdown changed the split result");
-        assert_eq!(pushed.stats().pushdown_splits, 1);
-        assert!(
-            pushed_rows * 5 <= dense_rows,
-            "pushdown must ship >= 5x fewer rows ({pushed_rows} vs {dense_rows})"
-        );
     }
 
     #[test]

@@ -5,24 +5,24 @@
 //!
 //! * **Framing** — every message is `[u32 LE length][payload]`; a frame is
 //!   read fully or the connection is dead. Requests and responses are
-//!   *multiplexed* (v4): the client may have many requests in flight on
+//!   *multiplexed*: the client may have many requests in flight on
 //!   one socket, and matches each response to its request by sequence
 //!   number. Oversized lengths (> [`MAX_FRAME`]) are rejected before
 //!   any allocation, so a corrupt or malicious peer cannot OOM the reader.
-//! * **Sessions and replay (v3/v4)** — the first frame on a connection is
-//!   a raw [`Request::Hello`] carrying a client-generated *resume token*;
-//!   every later request frame carries a `u64` monotone sequence number.
-//!   v3 frames are `[u64 LE seq][encoded request]` with bare responses;
-//!   v4 frames are `[u64 LE seq][u64 LE ack][encoded request]` and every
-//!   response is `[u64 LE seq][encoded response]` so a pipelined client
-//!   can match out-of-order-completed replies. The server keeps, per
-//!   token, the encoded responses of every applied-but-unacknowledged
-//!   request (`ack` = the client's lowest in-flight seq releases older
-//!   entries): a reconnecting client that re-presents its token and
+//! * **Sessions and replay** — the first frame on a connection is a raw
+//!   [`Request::Hello`] carrying the protocol [`VERSION`] and a
+//!   client-generated *resume token*; every later request frame is
+//!   `[u64 LE seq][u64 LE ack][encoded request]` with a monotone sequence
+//!   number, and every response is `[u64 LE seq][encoded response]` so a
+//!   pipelined client can match out-of-order-completed replies. The
+//!   server keeps, per token, the encoded responses of every
+//!   applied-but-unacknowledged request (`ack` = the client's lowest
+//!   in-flight seq releases older entries): a reconnecting client that re-presents its token and
 //!   re-issues its in-flight requests either gets the *cached* responses
 //!   (applied but the reply was lost — replay of non-idempotent
 //!   CREATE/UPDATE is therefore safe) or fresh executions (they never
-//!   arrived). The server still answers v3 Hellos with v3 framing.
+//!   arrived). A `Hello` of any other version gets a typed mismatch
+//!   error.
 //! * **SQL travels as text** — [`Request::Execute`] carries the printed
 //!   statement, leaning on the `print ∘ parse ∘ print` fixed-point proved
 //!   by [`crate::backend::SqlTextBackend`]: the server re-parses exactly
@@ -108,22 +108,17 @@ impl Default for JobSpec {
 /// protocol).
 pub const MAGIC: u32 = 0x4a42_5750;
 
-/// Protocol version; bumped on any incompatible codec change. The server
-/// rejects a `Hello` with an *unknown* version instead of misdecoding,
-/// but still speaks v3 framing to a v3 client (tolerant decode for old
-/// clients).
+/// Protocol version, the only one the server speaks; bumped on any
+/// incompatible codec change. A `Hello` of any other version gets a typed
+/// mismatch error instead of being misdecoded.
 /// Version 2 added the job/predict API (`SubmitJob` … `PredictBatch`).
 /// Version 3 added the session resume token in `Hello` and the per-request
 /// `[u64 LE seq]` envelope that makes reconnect-and-replay safe.
 /// Version 4 added multiplexing (`[seq][ack]` request envelopes, `[seq]`
-/// response envelopes, a replay *window* instead of a single slot) and the
-/// delta-encoded split refinement messages ([`Request::SplitSummariesDelta`],
-/// [`Request::SplitOpenBounds`]).
-pub const VERSION: u32 = 4;
-
-/// Oldest protocol version the server still accepts. A v3 client gets v3
-/// framing (single-slot replay, bare responses) on its connection.
-pub const MIN_VERSION: u32 = 3;
+/// response envelopes, a replay *window* instead of a single slot).
+/// Version 5 removed the split-protocol messages: split queries travel as
+/// plain [`Request::Execute`]s.
+pub const VERSION: u32 = 5;
 
 /// Upper bound on one frame's payload (64 MiB). Larger tables must be
 /// loaded in parts; in practice JoinBoost's shard messages are orders of
@@ -137,7 +132,7 @@ pub enum Request {
     /// the first (and only un-enveloped) frame on a connection. The server
     /// answers with [`Response::Caps`] or an error on a version mismatch.
     /// Re-presenting a token re-attaches the connection to that session's
-    /// surviving state (split handles, temp tables, replay cache).
+    /// surviving state (temp tables, replay cache).
     Hello {
         /// Must equal [`MAGIC`].
         magic: u32,
@@ -204,97 +199,6 @@ pub enum Request {
     /// Names of every table the server currently holds (diagnostics; the
     /// fault-injection tests use it to prove temp-table cleanup).
     TableNames,
-    /// Open a split-protocol handle: execute the absorbed per-value query
-    /// and keep its sorted, prefix-summed result *server-side* (see
-    /// [`crate::backend::split`]). The reply is
-    /// [`Response::SplitOpened`].
-    SplitOpen {
-        /// The absorbed inner query, as text.
-        sql: String,
-        /// Column index of the single group key.
-        key_col: u32,
-        /// Column index of split component 0.
-        c0_col: u32,
-        /// Column index of split component 1.
-        c1_col: u32,
-        /// Per-column [`crate::backend::split::MergeSpec`] wire tags.
-        specs: Vec<u8>,
-    },
-    /// Equal-count boundary keys of an open split handle (1-column table).
-    SplitBoundaries {
-        /// Handle from [`Response::SplitOpened`].
-        id: u64,
-        /// Number of boundaries requested.
-        k: u32,
-    },
-    /// Per-interval boundary summaries for a grid (8-column table back).
-    SplitSummaries {
-        /// Handle from [`Response::SplitOpened`].
-        id: u64,
-        /// Ascending grid keys as a 1-column table.
-        grid: Table,
-    },
-    /// Sub-boundary keys inside the given `(interval, per-shard budget)`
-    /// targets (1-column table back).
-    SplitRefine {
-        /// Handle from [`Response::SplitOpened`].
-        id: u64,
-        /// Ascending grid keys as a 1-column table.
-        grid: Table,
-        /// `(interval index, key budget)` pairs.
-        targets: Vec<(u32, u32)>,
-    },
-    /// The shard's run-compressed contribution: full rows for retained
-    /// intervals, one compressed partial per non-empty pruned interval.
-    SplitFetch {
-        /// Handle from [`Response::SplitOpened`].
-        id: u64,
-        /// Ascending grid keys as a 1-column table.
-        grid: Table,
-        /// Per-interval retention decisions, parallel to the grid.
-        retain: Vec<bool>,
-    },
-    /// Delta variant of [`Request::SplitSummaries`] (v4): the coordinator
-    /// caches the previous round's per-interval summaries per shard and
-    /// asks only for the intervals the refined grid *changed* — an
-    /// interval's summary is a pure function of its absolute row range,
-    /// so intervals whose bounding keys survived refinement are
-    /// bit-identical and need not be recomputed or re-shipped. The reply
-    /// is [`Response::Table`] carrying only the changed intervals'
-    /// summaries, in `changed` order.
-    SplitSummariesDelta {
-        /// Handle from [`Response::SplitOpened`].
-        id: u64,
-        /// Ascending grid keys as a 1-column table (the *full* grid; the
-        /// delta is in which intervals are summarized, not the keys).
-        grid: Table,
-        /// Strictly ascending interval indices into the grid to summarize.
-        changed: Vec<u32>,
-    },
-    /// Fused [`Request::SplitOpen`] + [`Request::SplitBoundaries`] (v4):
-    /// opens the handle and returns the first `k` equal-count boundary
-    /// keys in one round trip ([`Response::SplitOpenedBounds`]), batching
-    /// the split protocol's opening broadcast into a single frame per
-    /// shard. Dense fallback still answers [`Response::Table`].
-    SplitOpenBounds {
-        /// The absorbed inner query, as text.
-        sql: String,
-        /// Column index of the single group key.
-        key_col: u32,
-        /// Column index of split component 0.
-        c0_col: u32,
-        /// Column index of split component 1.
-        c1_col: u32,
-        /// Per-column [`crate::backend::split::MergeSpec`] wire tags.
-        specs: Vec<u8>,
-        /// Number of boundary keys requested.
-        k: u32,
-    },
-    /// Release a split handle's server-side state.
-    SplitClose {
-        /// Handle from [`Response::SplitOpened`].
-        id: u64,
-    },
     /// Submit a training job; answered with [`Response::JobSubmitted`]
     /// (the job id) or [`Response::Busy`] when admission control rejects
     /// it. Training runs on a background worker; poll for progress.
@@ -354,24 +258,6 @@ pub enum Response {
     Count(u64),
     /// The engine error the statement produced, variant preserved.
     Err(EngineError),
-    /// Reply to [`Request::SplitOpen`] when the protocol applies:
-    /// `(handle id, rows)`. When the shard's data disqualifies the
-    /// protocol (NULL components), the server answers with
-    /// [`Response::Table`] carrying the absorbed result instead, so the
-    /// dense fallback costs no second execution.
-    SplitOpened(u64, u64),
-    /// Reply to [`Request::SplitOpenBounds`] when the protocol applies:
-    /// the handle, its row count, and the first equal-count boundary keys
-    /// as a 1-column table. Dense fallback answers [`Response::Table`],
-    /// exactly as for [`Request::SplitOpen`].
-    SplitOpenedBounds {
-        /// Handle id for subsequent split requests.
-        id: u64,
-        /// Rows behind the handle.
-        rows: u64,
-        /// Equal-count boundary keys (1-column table).
-        bounds: Table,
-    },
     /// Reply to [`Request::SubmitJob`]: the job id to poll.
     JobSubmitted(u64),
     /// Reply to [`Request::PollJob`] / [`Request::CancelJob`]: the job's
@@ -1016,18 +902,10 @@ const REQ_ROW_COUNT: u8 = 7;
 const REQ_DROP_IF_EXISTS: u8 = 8;
 const REQ_GATHER_ROWS: u8 = 9;
 const REQ_TABLE_NAMES: u8 = 10;
-const REQ_SPLIT_OPEN: u8 = 11;
-const REQ_SPLIT_BOUNDARIES: u8 = 12;
-const REQ_SPLIT_SUMMARIES: u8 = 13;
-const REQ_SPLIT_REFINE: u8 = 14;
-const REQ_SPLIT_FETCH: u8 = 15;
-const REQ_SPLIT_CLOSE: u8 = 16;
 const REQ_SUBMIT_JOB: u8 = 17;
 const REQ_POLL_JOB: u8 = 18;
 const REQ_CANCEL_JOB: u8 = 19;
 const REQ_PREDICT_BATCH: u8 = 20;
-const REQ_SPLIT_SUMMARIES_DELTA: u8 = 21;
-const REQ_SPLIT_OPEN_BOUNDS: u8 = 22;
 
 /// Encode one request into a frame payload.
 pub fn encode_request(req: &Request) -> Vec<u8> {
@@ -1086,80 +964,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             }
         }
         Request::TableNames => buf.put_u8(REQ_TABLE_NAMES),
-        Request::SplitOpen {
-            sql,
-            key_col,
-            c0_col,
-            c1_col,
-            specs,
-        } => {
-            buf.put_u8(REQ_SPLIT_OPEN);
-            put_string(&mut buf, sql);
-            buf.put_u32_le(*key_col);
-            buf.put_u32_le(*c0_col);
-            buf.put_u32_le(*c1_col);
-            buf.put_u32_le(specs.len() as u32);
-            buf.put_slice(specs);
-        }
-        Request::SplitBoundaries { id, k } => {
-            buf.put_u8(REQ_SPLIT_BOUNDARIES);
-            buf.put_u64_le(*id);
-            buf.put_u32_le(*k);
-        }
-        Request::SplitSummaries { id, grid } => {
-            buf.put_u8(REQ_SPLIT_SUMMARIES);
-            buf.put_u64_le(*id);
-            encode_table(grid, &mut buf);
-        }
-        Request::SplitRefine { id, grid, targets } => {
-            buf.put_u8(REQ_SPLIT_REFINE);
-            buf.put_u64_le(*id);
-            encode_table(grid, &mut buf);
-            buf.put_u32_le(targets.len() as u32);
-            for &(j, per) in targets {
-                buf.put_u32_le(j);
-                buf.put_u32_le(per);
-            }
-        }
-        Request::SplitFetch { id, grid, retain } => {
-            buf.put_u8(REQ_SPLIT_FETCH);
-            buf.put_u64_le(*id);
-            encode_table(grid, &mut buf);
-            buf.put_u32_le(retain.len() as u32);
-            for &r in retain {
-                buf.put_u8(u8::from(r));
-            }
-        }
-        Request::SplitSummariesDelta { id, grid, changed } => {
-            buf.put_u8(REQ_SPLIT_SUMMARIES_DELTA);
-            buf.put_u64_le(*id);
-            encode_table(grid, &mut buf);
-            buf.put_u32_le(changed.len() as u32);
-            for &j in changed {
-                buf.put_u32_le(j);
-            }
-        }
-        Request::SplitOpenBounds {
-            sql,
-            key_col,
-            c0_col,
-            c1_col,
-            specs,
-            k,
-        } => {
-            buf.put_u8(REQ_SPLIT_OPEN_BOUNDS);
-            put_string(&mut buf, sql);
-            buf.put_u32_le(*key_col);
-            buf.put_u32_le(*c0_col);
-            buf.put_u32_le(*c1_col);
-            buf.put_u32_le(specs.len() as u32);
-            buf.put_slice(specs);
-            buf.put_u32_le(*k);
-        }
-        Request::SplitClose { id } => {
-            buf.put_u8(REQ_SPLIT_CLOSE);
-            buf.put_u64_le(*id);
-        }
         Request::SubmitJob { spec } => {
             buf.put_u8(REQ_SUBMIT_JOB);
             encode_job_spec(spec, &mut buf);
@@ -1245,80 +1049,6 @@ pub fn decode_request(bytes: &[u8]) -> DecodeResult<Request> {
             Request::GatherRows { name, rows }
         }
         REQ_TABLE_NAMES => Request::TableNames,
-        REQ_SPLIT_OPEN => {
-            let sql = r.string()?;
-            let key_col = r.u32()?;
-            let c0_col = r.u32()?;
-            let c1_col = r.u32()?;
-            let n = r.count(1)?;
-            let specs = r.take(n)?.to_vec();
-            Request::SplitOpen {
-                sql,
-                key_col,
-                c0_col,
-                c1_col,
-                specs,
-            }
-        }
-        REQ_SPLIT_BOUNDARIES => Request::SplitBoundaries {
-            id: r.u64()?,
-            k: r.u32()?,
-        },
-        REQ_SPLIT_SUMMARIES => {
-            let id = r.u64()?;
-            let grid = decode_table(&mut r)?;
-            Request::SplitSummaries { id, grid }
-        }
-        REQ_SPLIT_REFINE => {
-            let id = r.u64()?;
-            let grid = decode_table(&mut r)?;
-            let n = r.count(8)?;
-            let mut targets = Vec::with_capacity(n);
-            for _ in 0..n {
-                targets.push((r.u32()?, r.u32()?));
-            }
-            Request::SplitRefine { id, grid, targets }
-        }
-        REQ_SPLIT_FETCH => {
-            let id = r.u64()?;
-            let grid = decode_table(&mut r)?;
-            let n = r.count(1)?;
-            let retain = r.take(n)?.iter().map(|&b| b != 0).collect();
-            Request::SplitFetch { id, grid, retain }
-        }
-        REQ_SPLIT_SUMMARIES_DELTA => {
-            let id = r.u64()?;
-            let grid = decode_table(&mut r)?;
-            let n = r.count(4)?;
-            let mut changed = Vec::with_capacity(n);
-            for _ in 0..n {
-                changed.push(r.u32()?);
-            }
-            // Strict ascent is part of the contract: it makes the reply's
-            // interval order unambiguous and rejects duplicate work.
-            if changed.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(corrupt("delta intervals not strictly ascending"));
-            }
-            Request::SplitSummariesDelta { id, grid, changed }
-        }
-        REQ_SPLIT_OPEN_BOUNDS => {
-            let sql = r.string()?;
-            let key_col = r.u32()?;
-            let c0_col = r.u32()?;
-            let c1_col = r.u32()?;
-            let n = r.count(1)?;
-            let specs = r.take(n)?.to_vec();
-            let k = r.u32()?;
-            Request::SplitOpenBounds {
-                sql,
-                key_col,
-                c0_col,
-                c1_col,
-                specs,
-                k,
-            }
-        }
-        REQ_SPLIT_CLOSE => Request::SplitClose { id: r.u64()? },
         REQ_SUBMIT_JOB => Request::SubmitJob {
             spec: Box::new(decode_job_spec(&mut r)?),
         },
@@ -1362,12 +1092,10 @@ const RESP_DTYPE: u8 = 4;
 const RESP_BOOL: u8 = 5;
 const RESP_COUNT: u8 = 6;
 const RESP_ERR: u8 = 7;
-const RESP_SPLIT_OPENED: u8 = 8;
 const RESP_JOB_SUBMITTED: u8 = 9;
 const RESP_JOB_STATE: u8 = 10;
 const RESP_BUSY: u8 = 11;
 const RESP_SCORES: u8 = 12;
-const RESP_SPLIT_OPENED_BOUNDS: u8 = 13;
 
 /// Encode one response into a frame payload.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
@@ -1404,17 +1132,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         Response::Err(e) => {
             buf.put_u8(RESP_ERR);
             encode_engine_error(e, &mut buf);
-        }
-        Response::SplitOpened(id, rows) => {
-            buf.put_u8(RESP_SPLIT_OPENED);
-            buf.put_u64_le(*id);
-            buf.put_u64_le(*rows);
-        }
-        Response::SplitOpenedBounds { id, rows, bounds } => {
-            buf.put_u8(RESP_SPLIT_OPENED_BOUNDS);
-            buf.put_u64_le(*id);
-            buf.put_u64_le(*rows);
-            encode_table(bounds, &mut buf);
         }
         Response::JobSubmitted(id) => {
             buf.put_u8(RESP_JOB_SUBMITTED);
@@ -1467,13 +1184,6 @@ pub fn decode_response(bytes: &[u8]) -> DecodeResult<Response> {
         RESP_BOOL => Response::Bool(r.u8()? != 0),
         RESP_COUNT => Response::Count(r.u64()?),
         RESP_ERR => Response::Err(decode_engine_error(&mut r)?),
-        RESP_SPLIT_OPENED => Response::SplitOpened(r.u64()?, r.u64()?),
-        RESP_SPLIT_OPENED_BOUNDS => {
-            let id = r.u64()?;
-            let rows = r.u64()?;
-            let bounds = decode_table(&mut r)?;
-            Response::SplitOpenedBounds { id, rows, bounds }
-        }
         RESP_JOB_SUBMITTED => Response::JobSubmitted(r.u64()?),
         RESP_JOB_STATE => {
             let state = r.u8()?;
@@ -1609,19 +1319,6 @@ mod tests {
                 rows: vec![2, 0, 2],
             },
             Request::TableNames,
-            Request::SplitSummariesDelta {
-                id: 3,
-                grid: sample_table(),
-                changed: vec![0, 2, 5],
-            },
-            Request::SplitOpenBounds {
-                sql: "SELECT k, c0, c1 FROM r".into(),
-                key_col: 0,
-                c0_col: 1,
-                c1_col: 2,
-                specs: vec![0, 1, 2],
-                k: 16,
-            },
             Request::SubmitJob {
                 spec: Box::new(JobSpec {
                     relations: vec![
@@ -1666,12 +1363,6 @@ mod tests {
             Response::Bool(false),
             Response::Count(42),
             Response::Err(EngineError::UnknownTable("ghost".into())),
-            Response::SplitOpened(3, 99),
-            Response::SplitOpenedBounds {
-                id: 3,
-                rows: 99,
-                bounds: sample_table(),
-            },
             Response::JobSubmitted(12),
             Response::JobState {
                 state: 3,
@@ -1689,18 +1380,6 @@ mod tests {
             let back = decode_response(&enc).unwrap();
             // Compare via re-encoding (NaN-proof) and structurally.
             assert_eq!(encode_response(&back), enc, "{resp:?}");
-        }
-    }
-
-    #[test]
-    fn unsorted_delta_intervals_are_rejected() {
-        for changed in [vec![2u32, 0, 5], vec![1, 1]] {
-            let enc = encode_request(&Request::SplitSummariesDelta {
-                id: 1,
-                grid: sample_table(),
-                changed,
-            });
-            assert!(decode_request(&enc).is_err());
         }
     }
 

@@ -133,7 +133,7 @@ pub struct GroupSpec {
     /// histogram bin id), it is additionally emitted as an output column
     /// under this alias, so that partitioned backends can match groups
     /// across shards and `⊕`-merge per bin (shard-friendly absorbs; see
-    /// `DESIGN.md` § "Distributed split evaluation").
+    /// `DESIGN.md` § "Split queries over shards").
     pub key_alias: Option<String>,
 }
 

@@ -273,126 +273,6 @@ fn outer_split_query(
     }
 }
 
-/// The structural skeleton of a numeric best-split query, as recognized
-/// back out of its SQL by partitioned backends (the shard-local split
-/// evaluation of `DESIGN.md` § "Distributed split evaluation").
-///
-/// [`numeric_split_query`] emits exactly three layers; this type names the
-/// pieces a distributed planner needs to push the outer two layers to the
-/// shards: the component column names, the criteria expression (a function
-/// of the two prefix-sum columns only) and the `min_leaf` guard.
-#[derive(Debug, Clone)]
-pub struct SplitQueryShape {
-    /// Name of the `val` column (the candidate split values).
-    pub val: String,
-    /// Names of the two aggregate components (`["c","s"]` or `["h","g"]`)
-    /// as they appear in the middle layer's output (and, via the window
-    /// arguments, in the inner absorbed query's output).
-    pub components: [String; 2],
-    /// The outer layer's criteria expression over the component columns.
-    pub criteria: Expr,
-    /// The outer layer's `WHERE` guard (the `min_leaf` filter).
-    pub guard: Option<Expr>,
-}
-
-/// Recognize the three-layer numeric split query emitted by
-/// [`numeric_split_query`]: an argmax outer layer (`ORDER BY criteria
-/// DESC LIMIT 1`) over a window-prefix-sum middle layer (`SUM(..) OVER
-/// (ORDER BY val)`, `ORDER BY val`) over an absorbed `FROM`-subquery.
-///
-/// Returns the shape plus a reference to the inner absorbed query, or
-/// `None` for any other query (categorical split queries — no window
-/// layer — deliberately do not match: their per-value criteria need the
-/// fully merged aggregates anyway).
-pub fn split_pushdown_shape(q: &Query) -> Option<(SplitQueryShape, &Query)> {
-    // Outer: SELECT val, n0, n1, <criteria> AS criteria FROM (middle) AS w
-    //        [WHERE guard] ORDER BY criteria DESC LIMIT 1
-    if q.limit != Some(1) || !q.joins.is_empty() || !q.group_by.is_empty() {
-        return None;
-    }
-    let [o] = q.order_by.as_slice() else {
-        return None;
-    };
-    if !o.desc {
-        return None;
-    }
-    let Expr::Column { table: None, name } = &o.expr else {
-        return None;
-    };
-    let order_col = name;
-    let [i_val, i0, i1, i_crit] = q.items.as_slice() else {
-        return None;
-    };
-    let bare = |it: &SelectItem| -> Option<String> {
-        match (&it.expr, &it.alias) {
-            (Expr::Column { table: None, name }, None) => Some(name.clone()),
-            _ => None,
-        }
-    };
-    let (val, n0, n1) = (bare(i_val)?, bare(i0)?, bare(i1)?);
-    if i_crit.alias.as_deref() != Some(order_col.as_str()) {
-        return None;
-    }
-    let Some(TableRef::Subquery { query: middle, .. }) = &q.from else {
-        return None;
-    };
-    // Middle: SELECT val, SUM(n0) OVER (ORDER BY val) AS n0,
-    //         SUM(n1) OVER (ORDER BY val) AS n1 FROM (inner) AS g
-    //         ORDER BY val
-    if middle.limit.is_some()
-        || !middle.joins.is_empty()
-        || !middle.group_by.is_empty()
-        || middle.where_clause.is_some()
-    {
-        return None;
-    }
-    let [m_ord] = middle.order_by.as_slice() else {
-        return None;
-    };
-    if m_ord.desc || m_ord.expr != Expr::col(val.clone()) {
-        return None;
-    }
-    let [m_val, m0, m1] = middle.items.as_slice() else {
-        return None;
-    };
-    if bare(m_val).as_deref() != Some(val.as_str()) {
-        return None;
-    }
-    // Each window item must be SUM(component) OVER (ORDER BY val), aliased
-    // to the component name the outer layer reads.
-    let window = |it: &SelectItem, outer_name: &str| -> Option<String> {
-        let Expr::WindowSum { arg, order_by } = &it.expr else {
-            return None;
-        };
-        if **order_by != Expr::col(val.clone()) || it.alias.as_deref() != Some(outer_name) {
-            return None;
-        }
-        match arg.as_ref() {
-            Expr::Column { table: None, name } => Some(name.clone()),
-            _ => None,
-        }
-    };
-    let inner0 = window(m0, &n0)?;
-    let inner1 = window(m1, &n1)?;
-    // The emitter aliases the inner components to the same names the
-    // windows read; require that so the planner can find them by name.
-    if inner0 != n0 || inner1 != n1 {
-        return None;
-    }
-    let Some(TableRef::Subquery { query: inner, .. }) = &middle.from else {
-        return None;
-    };
-    Some((
-        SplitQueryShape {
-            val,
-            components: [n0, n1],
-            criteria: i_crit.expr.clone(),
-            guard: q.where_clause.clone(),
-        },
-        inner.as_ref(),
-    ))
-}
-
 /// SQL expression for the gradient of `objective` given column expressions
 /// for the target `y` and the raw prediction `p` (Table 3).
 pub fn gradient_sql(objective: &Objective, y: Expr, p: Expr) -> Expr {
@@ -563,34 +443,6 @@ mod tests {
             t.column(None, "val").unwrap().get(0),
             joinboost_engine::Datum::Int(30)
         );
-    }
-
-    #[test]
-    fn split_shape_recognizes_numeric_but_not_categorical() {
-        let absorbed = joinboost_sql::parse_query("SELECT val, c, s FROM g0").unwrap();
-        let q = numeric_split_query(
-            absorbed.clone(),
-            RingKind::Variance,
-            NodeTotals { c0: 4.0, c1: 14.0 },
-            0.0,
-            1.0,
-        );
-        let (shape, inner) = split_pushdown_shape(&q).expect("numeric shape");
-        assert_eq!(shape.val, "val");
-        assert_eq!(shape.components, ["c".to_string(), "s".to_string()]);
-        assert!(shape.guard.is_some());
-        assert_eq!(*inner, absorbed);
-        // Survives a print → parse round-trip (what a sharded backend sees).
-        let reparsed = joinboost_sql::parse_query(&q.to_string()).unwrap();
-        assert!(split_pushdown_shape(&reparsed).is_some());
-        let cat = categorical_split_query(
-            absorbed,
-            RingKind::Variance,
-            NodeTotals { c0: 4.0, c1: 14.0 },
-            0.0,
-            1.0,
-        );
-        assert!(split_pushdown_shape(&cat).is_none(), "no window layer");
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //! exactly what this test asserts for 1-shard and 4-shard backends.
 
 use joinboost::backend::{
-    EngineBackend, PushdownConfig, RemoteBackend, RemoteOptions, ShardedBackend, SqlBackend,
-    SqlTextBackend,
+    EngineBackend, RemoteBackend, RemoteOptions, ShardedBackend, SqlBackend, SqlTextBackend,
 };
 use joinboost::{train_gbm, Dataset, GbmModel, TrainParams};
 use joinboost_datagen::{favorita, FavoritaConfig};
@@ -142,26 +141,14 @@ fn all_backends_train_bit_identical_gbms() {
         text.round_trips()
     );
 
-    // Sharded: 1 shard (degenerate) and 4 shards (real fan-out + merge),
-    // with the shard-local split evaluation forced on even at this small
-    // cardinality (min_rows 0) so the summary/compression protocol is
-    // what actually produces the asserted bits.
+    // Sharded: 1 shard (degenerate) and 4 shards (real fan-out + merge).
     for shards in [1usize, 4] {
         let sharded = ShardedBackend::new(shards, EngineConfig::duckdb_mem(), "sales", "items_id");
-        sharded.set_pushdown_config(PushdownConfig {
-            boundaries_per_shard: 8,
-            min_rows: 0,
-            delta: true,
-        });
         let model = load_and_train(&sharded);
         assert_bit_identical(&reference, &model, &format!("sharded x{shards}"));
         let stats = sharded.stats();
         assert!(stats.fanout_selects > 0, "aggregates must fan out");
         assert!(stats.broadcast_statements > 0, "updates must broadcast");
-        assert!(
-            stats.pushdown_splits > 0,
-            "split queries must evaluate shard-locally"
-        );
         if shards > 1 {
             assert!(stats.rows_shipped > 0, "merging must move rows");
             // The fact partition really is spread out.
@@ -221,9 +208,7 @@ fn paged_engine_trains_bit_identical_gbms_even_at_an_8_page_pool() {
 /// The portability claim across a *process boundary*: the same training
 /// run against engines living in separate `shard_server` processes —
 /// reached only through SQL text and columnar blocks over sockets — must
-/// produce the same bits as the in-process engine, with the split
-/// pushdown forced on so the PR-4 summary protocol is what actually runs
-/// over the wire.
+/// produce the same bits as the in-process engine.
 #[test]
 fn remote_backends_train_bit_identical_gbms_cross_process() {
     let engine = EngineBackend::in_memory();
@@ -244,7 +229,7 @@ fn remote_backends_train_bit_identical_gbms_cross_process() {
     }
 
     // Multi-process sharding: the fact partitioned across 1 and 4 server
-    // processes, coordinator local, pushdown forced on.
+    // processes, coordinator local.
     for shards in [1usize, 4] {
         let servers: Vec<ShardServerProc> = (0..shards).map(|_| ShardServerProc::spawn()).collect();
         let addrs: Vec<std::net::SocketAddr> = servers.iter().map(|s| s.addr).collect();
@@ -256,19 +241,10 @@ fn remote_backends_train_bit_identical_gbms_cross_process() {
             RemoteOptions::default(),
         )
         .unwrap();
-        remote.set_pushdown_config(PushdownConfig {
-            boundaries_per_shard: 8,
-            min_rows: 0,
-            delta: true,
-        });
         let model = load_and_train(&remote);
         assert_bit_identical(&reference, &model, &format!("remote x{shards}"));
         let stats = remote.stats();
         assert!(stats.fanout_selects > 0, "aggregates must fan out");
-        assert!(
-            stats.pushdown_splits > 0,
-            "split queries must evaluate shard-locally over the wire"
-        );
         assert!(
             stats.bytes_sent > 0 && stats.bytes_received > 0,
             "wire volume must be measured: {stats:?}"
@@ -411,11 +387,6 @@ fn histogram_binned_training_is_bit_identical_across_backends() {
     assert!(reference.trees.iter().any(|t| t.num_leaves() > 1));
     for shards in [2usize, 4] {
         let sharded = ShardedBackend::new(shards, EngineConfig::duckdb_mem(), "sales", "items_id");
-        sharded.set_pushdown_config(PushdownConfig {
-            boundaries_per_shard: 4,
-            min_rows: 0,
-            delta: true,
-        });
         let model = train(&sharded);
         assert_bit_identical(&reference, &model, &format!("binned sharded x{shards}"));
     }

@@ -1,17 +1,15 @@
-//! The pipelined-coordinator claim: multiplexing split-protocol requests
-//! over one socket, scrambling the order in which shard replies land, and
-//! delta-encoding refinement rounds must not change a *single bit* of the
-//! trained model.
+//! The pipelined-coordinator claim: multiplexing requests over one
+//! socket and scrambling the order in which shard replies land must not
+//! change a *single bit* of the trained model.
 //!
 //! The serial coordinator — the plain in-process engine, one query at a
 //! time, no wire — is the reference. Every remote configuration below
-//! (1/2/4 shard servers, delta on or off, reply jitter scrambling
-//! completion order) must reproduce its model `to_bits()`-identical.
+//! (1/2/4 shard servers, reply jitter scrambling completion order) must
+//! reproduce its model `to_bits()`-identical.
 //!
 //! Why orderings cannot matter: the coordinator's merge runs over a
-//! *keyed* union (per-interval summaries tagged by grid position, fanout
-//! rows tagged by shard), so late replies land in the same slot they
-//! would have landed in early; and the dyadic workload (DESIGN.md
+//! *keyed* union (fanout rows tagged by shard, merged by group key), so
+//! late replies land in the same slot they would have landed in early; and the dyadic workload (DESIGN.md
 //! § Backends) makes every `⊕` on those slots exact, so even the merge
 //! fold order is bit-stable. The tests here are the empirical check that
 //! the multiplexer's replies really are routed by tag and never by
@@ -21,7 +19,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use joinboost::backend::{PushdownConfig, RemoteOptions, ShardedBackend, SqlBackend, WireServer};
+use joinboost::backend::{RemoteOptions, ShardedBackend, SqlBackend, WireServer};
 use joinboost::{train_gbm, Dataset, GbmModel, TrainParams};
 use joinboost_engine::{Column, Database, EngineConfig, Table};
 use joinboost_graph::JoinGraph;
@@ -65,53 +63,6 @@ fn star_tables(rows: usize) -> (Table, Table, JoinGraph) {
     (fact, dim, graph)
 }
 
-/// A star with a high-cardinality feature (~1000 distinct values on
-/// 4000 fact rows): the split pushdown needs several refinement rounds
-/// to corner the best split, which is what gives the delta encoding
-/// unchanged intervals to elide. All values stay on the 1/8 dyadic grid
-/// so bit-identity still holds. (The tiny star above converges in one
-/// round — fine for equivalence, useless for byte accounting.)
-fn highcard_tables() -> (Table, Table, JoinGraph) {
-    let rows = 4000usize;
-    let card = 1000i64;
-    let dim_rows = 20i64;
-    let fact = Table::from_columns(vec![
-        ("k", Column::int((0..rows as i64).collect())),
-        (
-            "d_id",
-            Column::int((0..rows as i64).map(|i| i % dim_rows).collect()),
-        ),
-        (
-            "f",
-            Column::int((0..rows as i64).map(|i| (i * 7919) % card).collect()),
-        ),
-        (
-            "y",
-            Column::float(
-                (0..rows as i64)
-                    .map(|i| {
-                        let f = ((i * 7919) % card) as f64;
-                        let noise = ((i * 2654435761) % 97) as f64;
-                        f / 8.0 + ((i % dim_rows) % 10) as f64 * 4.0 + noise / 8.0
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    let dim = Table::from_columns(vec![
-        ("d_id", Column::int((0..dim_rows).collect())),
-        (
-            "g",
-            Column::int((0..dim_rows).map(|d| (d * 13) % 7).collect()),
-        ),
-    ]);
-    let mut graph = JoinGraph::new();
-    graph.add_relation("fact", &["f"]).unwrap();
-    graph.add_relation("dim", &["g"]).unwrap();
-    graph.add_edge("fact", "dim", &["d_id"]).unwrap();
-    (fact, dim, graph)
-}
-
 fn params() -> TrainParams {
     TrainParams {
         num_iterations: 2,
@@ -129,13 +80,9 @@ fn train_on(backend: &dyn SqlBackend) -> GbmModel {
     train_gbm(&set, &params()).unwrap()
 }
 
-/// Train over the given shard servers with pushdown forced on and the
-/// delta wire toggled as requested; returns the model and the backend's
-/// final stats (split rounds + split wire bytes).
-fn train_remote(
-    addrs: &[std::net::SocketAddr],
-    delta: bool,
-) -> (GbmModel, joinboost::backend::BackendStats) {
+/// Train over the given shard servers; returns the model and the
+/// backend's final stats.
+fn train_remote(addrs: &[std::net::SocketAddr]) -> (GbmModel, joinboost::backend::BackendStats) {
     let backend = ShardedBackend::remote(
         addrs,
         EngineConfig::duckdb_mem(),
@@ -144,11 +91,6 @@ fn train_remote(
         RemoteOptions::default(),
     )
     .unwrap();
-    backend.set_pushdown_config(PushdownConfig {
-        boundaries_per_shard: 4,
-        min_rows: 0,
-        delta,
-    });
     let model = train_on(&backend);
     let stats = backend.stats();
     (model, stats)
@@ -208,105 +150,24 @@ fn spawn_servers(n: usize, jitter: Option<(u64, u64)>) -> Vec<WireServer> {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline: pipelined + delta over quiet servers, every shard count
+// Baseline: pipelined over quiet servers, every shard count
 // ---------------------------------------------------------------------------
 
-/// Remote {1, 2, 4}-shard training through the multiplexed connection,
-/// with the delta split wire both on and off, reproduces the serial
-/// coordinator's bits exactly — and the delta toggle itself is invisible
-/// in the model.
+/// Remote {1, 2, 4}-shard training through the multiplexed connection
+/// reproduces the serial coordinator's bits exactly.
 #[test]
 fn pipelined_delta_training_matches_the_serial_coordinator() {
     let reference = serial_reference();
     for shards in [1usize, 2, 4] {
-        for delta in [true, false] {
-            let servers = spawn_servers(shards, None);
-            let addrs: Vec<_> = servers.iter().map(|s| s.addr()).collect();
-            let (model, stats) = train_remote(&addrs, delta);
-            assert_bit_identical(
-                reference,
-                &model,
-                &format!("remote x{shards} delta={delta}"),
-            );
-            assert!(
-                stats.pushdown_splits > 0,
-                "split pushdown must actually run (x{shards})"
-            );
-            assert!(
-                stats.split_rounds > 0,
-                "refinement rounds must be counted (x{shards})"
-            );
-            assert!(
-                stats.split_bytes_sent > 0 && stats.split_bytes_received > 0,
-                "split wire traffic must be metered (x{shards}): {stats:?}"
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Byte accounting: delta must be strictly cheaper than dense re-shipping
-// ---------------------------------------------------------------------------
-
-/// On 4 shards, re-running the identical high-cardinality workload with
-/// the delta wire on ships strictly fewer split-protocol bytes to the
-/// coordinator than dense re-shipping — while producing the identical
-/// model. This is the unit-level version of the benchmark gate in
-/// `BENCH_remote.json`.
-#[test]
-fn delta_encoding_ships_fewer_split_bytes_than_dense() {
-    let train_highcard = |backend: &dyn SqlBackend| {
-        let (fact, dim, graph) = highcard_tables();
-        backend.create_table("fact", fact).unwrap();
-        backend.create_table("dim", dim).unwrap();
-        let set = Dataset::new(backend, graph, "fact", "y").unwrap();
-        let p = TrainParams {
-            num_iterations: 1,
-            ..params()
-        };
-        train_gbm(&set, &p).unwrap()
-    };
-    let run = |delta: bool| {
-        let servers = spawn_servers(4, None);
+        let servers = spawn_servers(shards, None);
         let addrs: Vec<_> = servers.iter().map(|s| s.addr()).collect();
-        let backend = ShardedBackend::remote(
-            &addrs,
-            EngineConfig::duckdb_mem(),
-            "fact",
-            "k",
-            RemoteOptions::default(),
-        )
-        .unwrap();
-        backend.set_pushdown_config(PushdownConfig {
-            boundaries_per_shard: 16,
-            min_rows: 0,
-            delta,
-        });
-        let model = train_highcard(&backend);
-        let stats = backend.stats();
-        (model, stats)
-    };
-    let reference = {
-        let engine = joinboost::backend::EngineBackend::in_memory();
-        train_highcard(&engine)
-    };
-    let (dense_model, dense) = run(false);
-    let (delta_model, deltad) = run(true);
-    assert_bit_identical(&reference, &dense_model, "dense x4 highcard");
-    assert_bit_identical(&reference, &delta_model, "delta x4 highcard");
-    assert!(
-        dense.split_rounds > dense.pushdown_splits,
-        "the workload must drive multi-round refinement \
-         ({} rounds over {} splits)",
-        dense.split_rounds,
-        dense.pushdown_splits
-    );
-    assert!(
-        deltad.split_bytes_received < dense.split_bytes_received,
-        "delta must reduce coordinator recv bytes: delta {} vs dense {}",
-        deltad.split_bytes_received,
-        dense.split_bytes_received
-    );
+        let (model, stats) = train_remote(&addrs);
+        assert_bit_identical(reference, &model, &format!("remote x{shards}"));
+        assert!(
+            stats.fanout_selects > 0,
+            "split queries must fan out (x{shards}): {stats:?}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -318,7 +179,7 @@ proptest! {
 
     /// Whatever per-reply delays the servers draw — and therefore in
     /// whatever order multiplexed in-flight requests complete — the
-    /// pipelined + delta-encoded run reproduces the serial coordinator's
+    /// pipelined run reproduces the serial coordinator's
     /// bits. `reply_jitter` delays every reply by a seeded pseudo-random
     /// duration, so each case scrambles a *different* interleaving of
     /// the same request stream.
@@ -332,12 +193,12 @@ proptest! {
         let reference = serial_reference();
         let servers = spawn_servers(shards, Some((seed, max_micros)));
         let addrs: Vec<_> = servers.iter().map(|s| s.addr()).collect();
-        let (model, stats) = train_remote(&addrs, true);
+        let (model, stats) = train_remote(&addrs);
         assert_bit_identical(
             reference,
             &model,
             &format!("jitter seed={seed:#x} max={max_micros}us x{shards}"),
         );
-        prop_assert!(stats.split_rounds > 0);
+        prop_assert!(stats.fanout_selects > 0);
     }
 }

@@ -8,7 +8,7 @@
 //! * the server replays cached responses from its replay window for
 //!   requests it already applied, so non-idempotent statements run
 //!   exactly once even when several were in flight at the drop;
-//! * session state (temp tables, split handles) survives the drop for the
+//! * session state (temp tables, replay window) survives the drop for the
 //!   grace period, so training resumes instead of restarting.
 //!
 //! The headline proof: 4-shard training over real `shard_server`
@@ -21,8 +21,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use joinboost::backend::{
-    PushdownConfig, RemoteBackend, RemoteOptions, RetryPolicy, ShardedBackend, SqlBackend,
-    WireServer,
+    RemoteBackend, RemoteOptions, RetryPolicy, ShardedBackend, SqlBackend, WireServer,
 };
 use joinboost::{train_gbm, Dataset, GbmModel, TrainParams};
 use joinboost_engine::{Column, Database, EngineConfig, Table};
@@ -91,11 +90,6 @@ fn retrying_opts() -> RemoteOptions {
 fn train_remote(addrs: &[std::net::SocketAddr], opts: RemoteOptions) -> GbmModel {
     let backend =
         ShardedBackend::remote(addrs, EngineConfig::duckdb_mem(), "fact", "k", opts).unwrap();
-    backend.set_pushdown_config(PushdownConfig {
-        boundaries_per_shard: 4,
-        min_rows: 0,
-        delta: true,
-    });
     let (fact, dim, graph) = star_tables(400);
     backend.create_table("fact", fact).unwrap();
     backend.create_table("dim", dim).unwrap();

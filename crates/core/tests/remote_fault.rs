@@ -21,8 +21,7 @@
 use std::time::{Duration, Instant};
 
 use joinboost::backend::{
-    PushdownConfig, RemoteBackend, RemoteOptions, RetryPolicy, ShardedBackend, SqlBackend,
-    WireServer,
+    RemoteBackend, RemoteOptions, RetryPolicy, ShardedBackend, SqlBackend, WireServer,
 };
 use joinboost::{train_gbm, Dataset, TrainError, TrainParams};
 use joinboost_engine::{Column, Database, EngineConfig, Table};
@@ -72,11 +71,6 @@ fn train_remote(
 ) -> Result<joinboost::GbmModel, TrainError> {
     let backend = ShardedBackend::remote(addrs, EngineConfig::duckdb_mem(), "fact", "k", opts)
         .map_err(|e| TrainError::Engine(e.to_string()))?;
-    backend.set_pushdown_config(PushdownConfig {
-        boundaries_per_shard: 4,
-        min_rows: 0,
-        delta: true,
-    });
     let (fact, dim, graph) = star_tables(400);
     backend
         .create_table("fact", fact)

@@ -5,27 +5,25 @@
 //!   encode → decode *bit-exactly*, and arbitrary emitted statement text
 //!   survives the wire unchanged;
 //! * **live sockets** — a real in-process [`WireServer`] answers a
-//!   [`RemoteBackend`] client with the same bits a local engine produces;
+//!   [`RemoteBackend`] client with the same bits a local engine produces,
+//!   turns away a `Hello` of any other protocol version with a typed
+//!   error, and answers a sharded split query with one request per shard;
 //! * **concurrency** — two clients share one server and train at the same
 //!   time without cross-talk, and their temp tables are gone afterwards
 //!   (the temp-table lifecycle half of the trait contract).
 
 use proptest::prelude::*;
 
-use joinboost::backend::split::{
-    interval_delta_map, keys_from_table, keys_to_table, reconstruct_summaries,
-    summaries_from_table, summaries_to_table, IntervalSummary,
-};
 use joinboost::backend::wire::{
     decode_request, decode_response, decode_table_bytes, encode_request, encode_response,
-    encode_table_bytes, Request, Response,
+    encode_table_bytes, read_frame, write_frame, Request, Response, MAGIC, VERSION,
 };
-use joinboost::backend::{RemoteBackend, SqlBackend, WireServer};
+use joinboost::backend::{RemoteBackend, RemoteOptions, ShardedBackend, SqlBackend, WireServer};
+use joinboost::sqlgen::{numeric_split_query, NodeTotals, RingKind};
 use joinboost::{train_gbm, Dataset, GbmModel, TrainParams};
 use joinboost_engine::column::ColumnData;
 use joinboost_engine::table::ColumnMeta;
-use joinboost_engine::Datum;
-use joinboost_engine::{Column, Database, Table};
+use joinboost_engine::{Column, Database, EngineConfig, Table};
 use joinboost_sql::ast::{
     BinaryOp, Expr, OrderByItem, Query, SelectItem, Statement, TableRef, Value,
 };
@@ -225,189 +223,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Proptests: the delta-encoded split wire
-// ---------------------------------------------------------------------------
-
-/// Deterministic bit-pattern generator (splitmix64): summaries whose
-/// fields cover the whole `f64` bit space — NaN payloads, infinities,
-/// subnormals — so "reconstructs bit-exactly" means exactly that.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn summary_from_seed(seed: u64) -> IntervalSummary {
-    let mut s = seed;
-    let mut next = || {
-        s = mix64(s);
-        s
-    };
-    IntervalSummary {
-        dc: f64::from_bits(next()),
-        ds: f64::from_bits(next()),
-        min0: f64::from_bits(next()),
-        max0: f64::from_bits(next()),
-        min1: f64::from_bits(next()),
-        max1: f64::from_bits(next()),
-        maxdev: f64::from_bits(next()),
-        maxabsdc: f64::from_bits(next()),
-        rows: next() >> 1,
-    }
-}
-
-fn assert_summaries_bit_eq(a: &[IntervalSummary], b: &[IntervalSummary]) {
-    assert_eq!(a.len(), b.len());
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        let bits = |s: &IntervalSummary| {
-            [
-                s.dc.to_bits(),
-                s.ds.to_bits(),
-                s.min0.to_bits(),
-                s.max0.to_bits(),
-                s.min1.to_bits(),
-                s.max1.to_bits(),
-                s.maxdev.to_bits(),
-                s.maxabsdc.to_bits(),
-                s.rows,
-            ]
-        };
-        assert_eq!(bits(x), bits(y), "summary {i} diverged");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The coordinator's delta cache round-trips through the real wire
-    /// frames bit-exactly: an arbitrary cached summary table, an
-    /// arbitrary grid refinement, the shard's changed-rows-only reply
-    /// shipped as wire tables — reconstruction over the cache reproduces
-    /// the full new summary vector bit for bit, and replies of the wrong
-    /// shape are rejected (`None`), never mis-assembled.
-    #[test]
-    fn split_delta_frames_reconstruct_summaries_bit_exactly(
-        old_raw in prop::collection::vec(any::<i32>(), 1..12),
-        extra in prop::collection::vec(any::<i32>(), 0..8),
-        seed in any::<u64>(),
-    ) {
-        // Ascending deduped grids; the new grid refines the old one (the
-        // map is defined for arbitrary ascending grids, but refinement —
-        // keys only inserted — is what the protocol ships).
-        let mut old: Vec<i64> = old_raw.iter().map(|&k| k as i64).collect();
-        old.sort_unstable();
-        old.dedup();
-        let mut newg: Vec<i64> = old.clone();
-        newg.extend(extra.iter().map(|&k| k as i64));
-        newg.sort_unstable();
-        newg.dedup();
-        let old_grid: Vec<Datum> = old.iter().map(|&k| Datum::Int(k)).collect();
-        let new_grid: Vec<Datum> = newg.iter().map(|&k| Datum::Int(k)).collect();
-        let old_summ: Vec<IntervalSummary> = (0..old_grid.len())
-            .map(|j| summary_from_seed(seed ^ j as u64))
-            .collect();
-
-        let map = interval_delta_map(&old_grid, &new_grid);
-        prop_assert_eq!(map.len(), new_grid.len());
-        // Purity of summaries: an interval whose bounds survived carries
-        // the cached value; a subdivided one gets a fresh value.
-        let full: Vec<IntervalSummary> = map
-            .iter()
-            .enumerate()
-            .map(|(j, slot)| match slot {
-                Some(oi) => old_summ[*oi],
-                None => summary_from_seed(seed ^ 0xdead_beef ^ ((j as u64) << 32)),
-            })
-            .collect();
-        let changed_idx: Vec<u32> = map
-            .iter()
-            .enumerate()
-            .filter_map(|(j, s)| s.is_none().then_some(j as u32))
-            .collect();
-        let changed: Vec<IntervalSummary> =
-            changed_idx.iter().map(|&j| full[j as usize]).collect();
-
-        // Request leg: the delta request frame carries the grid and the
-        // changed indices unmangled.
-        let req = Request::SplitSummariesDelta {
-            id: 7,
-            grid: keys_to_table(&new_grid),
-            changed: changed_idx.clone(),
-        };
-        match decode_request(&encode_request(&req)).expect("decode delta request") {
-            Request::SplitSummariesDelta { id, grid, changed: back_idx } => {
-                prop_assert_eq!(id, 7);
-                prop_assert_eq!(keys_from_table(&grid), new_grid.clone());
-                prop_assert_eq!(back_idx, changed_idx);
-            }
-            other => prop_assert!(false, "wrong request decoded: {:?}", other),
-        }
-
-        // Response leg: the shard's changed-rows table through the
-        // response codec, then reconstruction over the cache.
-        let resp = Response::Table(summaries_to_table(&changed));
-        let shipped = match decode_response(&encode_response(&resp)).expect("decode") {
-            Response::Table(t) => summaries_from_table(&t).expect("well-formed summary table"),
-            other => panic!("wrong response decoded: {other:?}"),
-        };
-        assert_summaries_bit_eq(&shipped, &changed);
-        let rebuilt = reconstruct_summaries(&old_summ, &map, &shipped)
-            .expect("delta reply matching the map must reconstruct");
-        assert_summaries_bit_eq(&rebuilt, &full);
-
-        // Wrong-shape replies are rejected, not mis-assembled: one row
-        // short, one row long, and (when nothing changed) one spurious row.
-        if let Some((_, rest)) = shipped.split_first() {
-            prop_assert!(reconstruct_summaries(&old_summ, &map, rest).is_none());
-        }
-        let mut long = shipped.clone();
-        long.push(summary_from_seed(seed ^ 0x5eed));
-        prop_assert!(reconstruct_summaries(&old_summ, &map, &long).is_none());
-        // And a cache that is too short to cover the map is a typed miss.
-        if map.iter().any(|s| matches!(s, Some(oi) if *oi >= 1)) {
-            prop_assert!(reconstruct_summaries(&old_summ[..1], &map, &shipped).is_none());
-        }
-    }
-
-    /// Truncated delta frames are typed decode errors and corrupted ones
-    /// never panic or over-allocate — a byte flip may still decode to
-    /// *some* valid frame, but it must do so inside the frame's own
-    /// bytes, not by trusting a poisoned length prefix.
-    #[test]
-    fn truncated_or_corrupt_delta_frames_are_typed_errors(
-        keys in prop::collection::vec(any::<i32>(), 1..10),
-        idx in prop::collection::vec(any::<u8>(), 0..6),
-        cut_frac in 0.0f64..1.0,
-        flip_pos_frac in 0.0f64..1.0,
-        flip_bit in 0u8..8,
-    ) {
-        let mut ks: Vec<i64> = keys.iter().map(|&k| k as i64).collect();
-        ks.sort_unstable();
-        ks.dedup();
-        let grid: Vec<Datum> = ks.iter().map(|&k| Datum::Int(k)).collect();
-        let mut changed: Vec<u32> = idx.iter().map(|&v| v as u32).collect();
-        changed.sort_unstable();
-        changed.dedup();
-        let req = Request::SplitSummariesDelta { id: 3, grid: keys_to_table(&grid), changed };
-        let enc = encode_request(&req);
-
-        // Any strict prefix fails to decode — typed error, no panic.
-        let cut = ((enc.len() as f64) * cut_frac) as usize;
-        if cut < enc.len() {
-            prop_assert!(decode_request(&enc[..cut]).is_err());
-        }
-
-        // A single flipped bit anywhere: decoding must return (Ok or
-        // Err), never panic, and never allocate beyond the frame.
-        let mut bad = enc.clone();
-        let pos = (((enc.len() - 1) as f64) * flip_pos_frac) as usize;
-        bad[pos] ^= 1 << flip_bit;
-        let _ = decode_request(&bad);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Live-socket round trips
 // ---------------------------------------------------------------------------
 
@@ -498,6 +313,117 @@ fn remote_load_snapshot_matches_local_engine_on_random_tables() {
         let b = remote.snapshot(&name).unwrap();
         assert_eq!(encode_table_bytes(&a), encode_table_bytes(&b), "table {i}");
     }
+}
+
+/// A `Hello` of any version but [`VERSION`] — an older client (v3) or a
+/// newer one — gets the typed "protocol version mismatch" error on a live
+/// socket, and the server keeps serving: the same socket then accepts a
+/// current `Hello`, and a current client loads and trains normally.
+#[test]
+fn foreign_protocol_versions_get_a_typed_mismatch_error() {
+    let server = WireServer::builder(Database::in_memory()).spawn().unwrap();
+    for version in [3, VERSION + 1] {
+        let mut sock = std::net::TcpStream::connect(server.addr()).unwrap();
+        let hello = Request::Hello {
+            magic: MAGIC,
+            version,
+            token: 7,
+        };
+        write_frame(&mut sock, &encode_request(&hello)).unwrap();
+        match decode_response(&read_frame(&mut sock).unwrap()).unwrap() {
+            Response::Err(e) => assert!(
+                e.to_string().contains("protocol version mismatch"),
+                "version {version}: {e}"
+            ),
+            other => panic!("version {version} was accepted: {other:?}"),
+        }
+        // The socket stays open for a Hello of the right version.
+        let hello = Request::Hello {
+            magic: MAGIC,
+            version: VERSION,
+            token: 7,
+        };
+        write_frame(&mut sock, &encode_request(&hello)).unwrap();
+        let reply = decode_response(&read_frame(&mut sock).unwrap()).unwrap();
+        assert!(matches!(reply, Response::Caps { .. }), "{reply:?}");
+    }
+    let client = RemoteBackend::builder(server.addr()).connect().unwrap();
+    let model = train_star(&client, "v", 200, 1);
+    assert_eq!(
+        model.trees,
+        train_star(&Database::in_memory(), "v", 200, 1).trees
+    );
+}
+
+/// A numeric split query over a high-cardinality feature (1000 distinct
+/// values) on two remote shards costs each shard server exactly one
+/// request — the absorbed aggregate, `⊕`-merged on the coordinator — and
+/// answers bit for bit what a single engine answers.
+#[test]
+fn sharded_split_query_is_one_request_per_shard() {
+    let rows = 4000i64;
+    let fact = Table::from_columns(vec![
+        ("k", Column::int((0..rows).collect())),
+        (
+            "f",
+            Column::int((0..rows).map(|i| (i * 7919) % 1000).collect()),
+        ),
+        (
+            // Dyadic targets: every merge order sums exactly.
+            "y",
+            Column::float(
+                (0..rows)
+                    .map(|i| ((i * 7919) % 1000) as f64 / 8.0)
+                    .collect(),
+            ),
+        ),
+    ]);
+    let single = Database::in_memory();
+    single.create_table("fact", fact.clone()).unwrap();
+    let totals = single
+        .query("SELECT COUNT(*) AS c, SUM(y) AS s FROM fact")
+        .unwrap();
+    let absorbed = joinboost_sql::parse_query(
+        "SELECT f AS val, COUNT(*) AS c, SUM(y) AS s FROM fact GROUP BY f",
+    )
+    .unwrap();
+    let q = numeric_split_query(
+        absorbed,
+        RingKind::Variance,
+        NodeTotals {
+            c0: totals.scalar_f64("c").unwrap(),
+            c1: totals.scalar_f64("s").unwrap(),
+        },
+        0.0,
+        1.0,
+    );
+
+    let servers: Vec<WireServer> = (0..2)
+        .map(|_| WireServer::builder(Database::in_memory()).spawn().unwrap())
+        .collect();
+    let addrs: Vec<_> = servers.iter().map(|s| s.addr()).collect();
+    let sharded = ShardedBackend::remote(
+        &addrs,
+        EngineConfig::duckdb_mem(),
+        "fact",
+        "k",
+        RemoteOptions::default(),
+    )
+    .unwrap();
+    sharded.create_table("fact", fact).unwrap();
+
+    let before: Vec<u64> = servers.iter().map(WireServer::requests).collect();
+    let got = sharded.execute_ast(&Statement::Select(q.clone())).unwrap();
+    for (i, (server, b)) in servers.iter().zip(&before).enumerate() {
+        assert_eq!(
+            server.requests() - b,
+            1,
+            "shard {i} requests per split query"
+        );
+    }
+    let want = single.execute_statement(&Statement::Select(q)).unwrap();
+    assert_eq!(got.num_rows(), 1);
+    assert_eq!(encode_table_bytes(&got), encode_table_bytes(&want));
 }
 
 // ---------------------------------------------------------------------------

@@ -32,24 +32,12 @@ pub enum ExecMode {
     Row,
 }
 
-/// In-memory vs disk-backed storage. Disk-backed configurations pay for a
-/// write-ahead log on every write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StorageMode {
-    /// Tables live in memory only.
-    Memory,
-    /// Disk-backed: writes pay for the write-ahead log.
-    Disk,
-}
-
 /// Engine configuration. The named constructors correspond to the DBMS
 /// backends of the paper's evaluation (Section 6.3, Figure 15).
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Columnar vs row execution.
     pub exec: ExecMode,
-    /// In-memory vs disk-backed storage.
-    pub storage: StorageMode,
     /// Write-ahead logging of updates and created tables.
     pub wal: bool,
     /// MVCC-style versioning: updates first copy the before-image of each
@@ -104,7 +92,6 @@ impl EngineConfig {
     pub fn duckdb_mem() -> Self {
         EngineConfig {
             exec: ExecMode::Columnar,
-            storage: StorageMode::Memory,
             wal: false,
             mvcc: true,
             compression: true,
@@ -122,7 +109,6 @@ impl EngineConfig {
     /// `D-disk`: disk-backed columnar engine (WAL on writes).
     pub fn duckdb_disk() -> Self {
         EngineConfig {
-            storage: StorageMode::Disk,
             wal: true,
             ..Self::duckdb_mem()
         }
@@ -132,7 +118,6 @@ impl EngineConfig {
     /// compression, WAL and versioning.
     pub fn dbms_x_col() -> Self {
         EngineConfig {
-            storage: StorageMode::Disk,
             wal: true,
             ..Self::duckdb_mem()
         }
@@ -143,7 +128,6 @@ impl EngineConfig {
     pub fn dbms_x_row() -> Self {
         EngineConfig {
             exec: ExecMode::Row,
-            storage: StorageMode::Disk,
             wal: true,
             mvcc: true,
             compression: false,
@@ -176,7 +160,6 @@ impl EngineConfig {
     /// and `agg_spill_bytes` with struct-update syntax.
     pub fn paged(dir: impl Into<PathBuf>) -> Self {
         EngineConfig {
-            storage: StorageMode::Disk,
             wal: true,
             mvcc: false,
             compression: false,

@@ -72,7 +72,7 @@ pub mod wal;
 
 pub use column::Column;
 pub use datum::{DataType, Datum};
-pub use db::{Database, EngineConfig, ExecMode, StorageMode};
+pub use db::{Database, EngineConfig, ExecMode};
 pub use error::{EngineError, Result};
 pub use storage::{BufferPoolStats, Replacement};
 pub use table::Table;

@@ -32,9 +32,9 @@ use joinboost_engine::{Database, EngineConfig};
 use joinboost_sql::parse_statement;
 
 fn train_on(backend: &dyn SqlBackend) -> GbmModel {
-    // 600 dimension rows give each feature ~430 distinct values — enough
-    // for the sharded backends to push split evaluation to the shards
-    // instead of shipping every per-value aggregate to the coordinator.
+    // 600 dimension rows give each feature ~430 distinct values: every
+    // split query ships that many per-value partial aggregates per shard
+    // to the coordinator, which `⊕`-merges them exactly.
     let gen = favorita(&FavoritaConfig {
         fact_rows: 10_000,
         dim_rows: 600,
@@ -172,9 +172,9 @@ fn main() {
         }
     }
     // The 4-shard backend, held concretely so its counters are readable.
-    // Feature cardinality here (~430 distinct values per dimension) is
-    // above the pushdown threshold, so split queries evaluate
-    // shard-locally — and the model still comes out bit-identical.
+    // Every split query fans its per-value aggregate out to the shards
+    // and merges on the coordinator — and the model still comes out
+    // bit-identical.
     let sharded = ShardedBackend::new(4, EngineConfig::duckdb_mem(), "sales", "items_id");
     let model = train_on(&sharded);
     let reference = reference.expect("lineup trained");
@@ -193,9 +193,9 @@ fn main() {
         backends.len() + 1
     );
     println!(
-        "\nsharded x4 work: {} fanned-out aggregates ({} split queries evaluated \
-         shard-locally), {} broadcast statements, {} rows shipped to the coordinator",
-        stats.fanout_selects, stats.pushdown_splits, stats.broadcast_statements, stats.rows_shipped
+        "\nsharded x4 work: {} fanned-out aggregates, {} broadcast statements, \
+         {} rows shipped to the coordinator",
+        stats.fanout_selects, stats.broadcast_statements, stats.rows_shipped
     );
     println!("fact partition sizes: {:?}", sharded.partition_sizes());
 
